@@ -18,8 +18,14 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from repro.core.base import Scheduler, make_result, validate_schedule
-from repro.core.break_first_available import bfa_fast
-from repro.core.first_available import first_available_fast
+from repro.core.break_first_available import (
+    BreakFirstAvailableScheduler,
+    bfa_fast,
+)
+from repro.core.first_available import (
+    FirstAvailableScheduler,
+    first_available_fast,
+)
 from repro.core.policies import FixedPriorityPolicy, GrantPolicy
 from repro.errors import InvalidParameterError
 from repro.graphs.conversion import (
@@ -227,6 +233,28 @@ def _degradation_groups(
     return groups
 
 
+#: Schedulers whose ``schedule`` certifies its own result: ``make_result``
+#: runs :func:`validate_schedule` on every computed result, and a memo hit
+#: returns a result certified when it was stored under the identical
+#: (scheme, request vector, availability) key.  Matched by exact type, since
+#: a subclass may override ``schedule``.
+_SELF_CERTIFYING = (FirstAvailableScheduler, BreakFirstAvailableScheduler)
+
+
+def _run_scheduler(scheduler: Scheduler, rg: RequestGraph) -> ScheduleResult:
+    """``scheduler.schedule(rg)``, with its result certified feasible.
+
+    Trust boundary: the per-output result may come from a third-party
+    Scheduler, so anything but FA/BFA is revalidated before channels are
+    handed out — a defective scheduler fails loudly instead of silently
+    wasting channels or granting phantom requests.
+    """
+    result = scheduler.schedule(rg)
+    if type(scheduler) not in _SELF_CERTIFYING:
+        validate_schedule(rg, result.grants)
+    return result
+
+
 def schedule_output_fiber(
     scheme: ConversionScheme,
     scheduler: Scheduler,
@@ -270,12 +298,7 @@ def schedule_output_fiber(
         rg = RequestGraph.from_wavelengths(
             scheme, (r.wavelength for r in requests), available
         )
-        result = scheduler.schedule(rg)
-        # Trust boundary: the per-output result may come from a third-party
-        # Scheduler — revalidate before handing out channels, so a defective
-        # scheduler fails loudly instead of silently wasting channels or
-        # granting phantom requests.
-        validate_schedule(rg, result.grants)
+        result = _run_scheduler(scheduler, rg)
         granted, rejected = distribute_grants(
             policy, output_fiber, requests, result.grants
         )
@@ -292,8 +315,7 @@ def schedule_output_fiber(
         rg = RequestGraph.from_wavelengths(
             scheme, (r.wavelength for r in class_requests), mask
         )
-        result = scheduler.schedule(rg)
-        validate_schedule(rg, result.grants)
+        result = _run_scheduler(scheduler, rg)
         g, rej = distribute_grants(
             policy, output_fiber, class_requests, result.grants
         )
@@ -343,14 +365,13 @@ def _schedule_output_fiber_degraded(
                 rg = RequestGraph.from_wavelengths(
                     scheme, (r.wavelength for r in group), mask
                 )
-                result = scheduler.schedule(rg)
-                grants = result.grants
+                grants = _run_scheduler(scheduler, rg).grants
             else:
                 grants = _schedule_narrowed(scheme_g, group, mask)
                 rg = RequestGraph.from_wavelengths(
                     scheme_g, (r.wavelength for r in group), mask
                 )
-            validate_schedule(rg, grants)
+                validate_schedule(rg, grants)
             g, rej = distribute_grants(policy, output_fiber, group, grants)
             granted.extend(g)
             rejected.extend(rej)

@@ -20,7 +20,6 @@ at ``O(n³)`` per output fiber instead of ``O(dk)``.
 from __future__ import annotations
 
 import numpy as np
-from scipy.optimize import linear_sum_assignment
 
 from repro.core.base import Scheduler, make_result
 from repro.graphs.request_graph import RequestGraph
@@ -77,6 +76,9 @@ class MinStressScheduler(Scheduler):
                     else min((b - w) % k, (w - b) % k)
                 )
                 cost[a, b] = float(offset * offset)
+        # Imported here so the scheduling service never loads scipy.
+        from scipy.optimize import linear_sum_assignment
+
         rows, cols = linear_sum_assignment(cost)
         grants = [
             Grant(wavelength=rg.wavelength_of(a), channel=int(b))

@@ -106,8 +106,8 @@ class ConversionScheme(ABC):
 
     def can_convert(self, w: int, b: int) -> bool:
         """Whether input wavelength ``w`` may be converted to output ``b``."""
-        check_index(b, self._k, "b")
-        return b in self.adjacency(w)
+        b = check_index(b, self._k, "b")
+        return b in self._adjacency_sets[check_index(w, self._k, "w")]
 
     def sources(self, b: int) -> tuple[int, ...]:
         """Sorted input wavelengths convertible to output wavelength ``b``."""
@@ -117,6 +117,10 @@ class ConversionScheme(ABC):
     @cached_property
     def _adjacency_table(self) -> tuple[tuple[int, ...], ...]:
         return tuple(self.adjacency(w) for w in range(self._k))
+
+    @cached_property
+    def _adjacency_sets(self) -> tuple[frozenset[int], ...]:
+        return tuple(frozenset(a) for a in self._adjacency_table)
 
     def conversion_graph(self) -> BipartiteGraph:
         """The conversion graph (paper Fig. 2): ``k`` vertices per side, an

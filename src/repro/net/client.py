@@ -24,7 +24,7 @@ from typing import TYPE_CHECKING
 from repro.errors import ConnectionLostError, FramingError, ProtocolError
 from repro.net import protocol as proto
 from repro.service.server import RejectReason
-from repro.util.framing import FrameDecoder, encode_frame
+from repro.util.framing import FrameDecoder, FrameWriter, encode_frame
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.core.distributed import SlotRequest
@@ -76,6 +76,7 @@ class NetClient:
         self.server_slot = -1
         self._closing = False
         self._conn_error: Exception | None = None
+        self._frames = FrameWriter(writer.write)
         self._reader_task = asyncio.get_running_loop().create_task(
             self._read_loop(), name="repro-netclient-reader"
         )
@@ -157,6 +158,7 @@ class NetClient:
             return
         if self._conn_error is None:
             self._conn_error = ConnectionLostError(reason)
+        self._frames.discard()
         transport = self._writer.transport
         if transport is not None:
             transport.abort()
@@ -168,8 +170,8 @@ class NetClient:
             return
         self._closing = True
         try:
-            self._writer.write(encode_frame(proto.encode_message(proto.Bye())))
-            await self._writer.drain()
+            self._send(proto.Bye())
+            await self._drain()
         except (ConnectionError, BrokenPipeError, OSError):
             pass
         self._reader_task.cancel()
@@ -217,7 +219,15 @@ class NetClient:
             raise self._conn_error
 
     def _send(self, msg: "proto.Message") -> None:
-        self._writer.write(encode_frame(proto.encode_message(msg)))
+        """Queue one frame.  Frames queued in one event-loop turn (a
+        slot's SUBMITs and its TICK_ADVANCE) reach the transport in a
+        single ``write()``: at the end of the turn, or earlier at the next
+        :meth:`_drain`, in send order either way."""
+        self._frames.send(proto.encode_message(msg))
+
+    async def _drain(self) -> None:
+        self._frames.flush()
+        await self._writer.drain()
 
     def submit_nowait(
         self,
@@ -270,7 +280,7 @@ class NetClient:
         )
         seq = self._seq
         try:
-            await self._writer.drain()
+            await self._drain()
             return await fut
         except asyncio.CancelledError:
             self._pending.pop(seq, None)
@@ -296,7 +306,7 @@ class NetClient:
         self._pending[seq] = fut
         self._send(proto.Migrate(seq, shard, destination))
         try:
-            await self._writer.drain()
+            await self._drain()
             return await fut
         except asyncio.CancelledError:
             self._pending.pop(seq, None)
@@ -323,7 +333,7 @@ class NetClient:
         self._ping_waiters[token] = fut
         self._send(proto.Ping(token))
         try:
-            await self._writer.drain()
+            await self._drain()
             return await fut
         except asyncio.CancelledError:
             self._ping_waiters.pop(token, None)
@@ -339,7 +349,7 @@ class NetClient:
         self._tick_waiters.append(fut)
         self._send(proto.TickAdvance(count))
         try:
-            await self._writer.drain()
+            await self._drain()
             return await fut
         except asyncio.CancelledError:
             try:
@@ -448,6 +458,11 @@ class ResilientNetClient:
       request cannot outlive its deadline by riding a reconnect.  An
       in-doubt DUPLICATE (redelivery raced the still-pending original)
       waits one tick and resubmits — dedup then replays the real outcome.
+    * A tick never overtakes a submit that was called before it: until
+      every unresolved submit has been (re)sent on the connection the
+      tick goes out on, :meth:`advance_to` holds the tick back, so a
+      redelivery after a reconnect reaches the server in the same slot
+      its first send was meant for.
     * :meth:`advance_to` is the idempotent tick driver: it PINGs after
       reconnect to learn the true server slot and only requests the
       missing ticks, never double-ticking.
@@ -519,6 +534,10 @@ class ResilientNetClient:
         self._had_connection = False
         self._auto_seq = 0
         self._ticked = asyncio.Event()
+        #: Per unresolved submit: the connection its SUBMIT was last sent
+        #: on (None until the first send).
+        self._sent_on: "dict[object, NetClient | None]" = {}
+        self._resent = asyncio.Event()
 
     # -- lifecycle -----------------------------------------------------------
 
@@ -565,6 +584,7 @@ class ResilientNetClient:
                 await self._client.close()
                 self._client = None
         self._signal_tick()
+        self._signal_resent()
 
     # -- connection management -----------------------------------------------
 
@@ -578,7 +598,9 @@ class ResilientNetClient:
         if self._closed:
             raise ProtocolError("client is closed")
         c = self._client
-        if c is not None and c.healthy:
+        # While the lock is held a reconnect is in flight, and its client
+        # may not have resynced server_slot yet: wait for it to finish.
+        if c is not None and c.healthy and not self._conn_lock.locked():
             return c
         async with self._conn_lock:
             if self._closed:
@@ -643,6 +665,19 @@ class ResilientNetClient:
         self._ticked = asyncio.Event()
         old.set()
 
+    def _signal_resent(self) -> None:
+        old = self._resent
+        self._resent = asyncio.Event()
+        old.set()
+
+    def _mark_sent(self, key: object, client: "NetClient | None") -> None:
+        self._sent_on[key] = client
+        self._signal_resent()
+
+    def _unmark_sent(self, key: object) -> None:
+        self._sent_on.pop(key, None)
+        self._signal_resent()
+
     # -- requests ------------------------------------------------------------
 
     async def submit(
@@ -675,43 +710,54 @@ class ResilientNetClient:
         if not request_id:
             self._auto_seq += 1
             request_id = f"{self.id_prefix}-{self._auto_seq}"
-        while True:
-            try:
-                client = await self._ensure_connected()
-            except ConnectionLostError:
-                self.unavailable_rejects += 1
-                return proto.Reject(0, RejectReason.UNAVAILABLE, slot=-1)
-            if deadline_slot is None and timeout_ticks >= 0:
-                deadline_slot = max(client.server_slot, 0) + timeout_ticks
-            tt = timeout_ticks
-            if deadline_slot is not None:
-                tt = max(0, deadline_slot - max(client.server_slot, 0))
-            try:
-                reply = await client.submit(
-                    request, timeout_ticks=tt, request_id=request_id
-                )
-            except RETRYABLE_NET_ERRORS:
-                continue  # reconnect and redeliver under the same id
-            if (
-                isinstance(reply, proto.Reject)
-                and reply.reason is RejectReason.DUPLICATE
-            ):
-                # In doubt.  Either our redelivery raced the still-pending
-                # original, or the *network* delivered our SUBMIT twice
-                # and the immediate DUPLICATE reject outran the real
-                # outcome (both carry our seq).  The wrapper never reuses
-                # a request_id across logical requests, so a DUPLICATE
-                # can only mean "the original is still in flight": wait
-                # for a tick to resolve it, then resubmit — dedup replays
-                # the recorded grant (or treats a released reject as a
-                # fresh, already-expired request).
-                ev = self._ticked
+        key = object()
+        self._mark_sent(key, None)
+        try:
+            while True:
                 try:
-                    await asyncio.wait_for(ev.wait(), 5.0)
-                except asyncio.TimeoutError:
-                    pass
-                continue
-            return reply
+                    client = await self._ensure_connected()
+                except ConnectionLostError:
+                    self.unavailable_rejects += 1
+                    return proto.Reject(0, RejectReason.UNAVAILABLE, slot=-1)
+                if deadline_slot is None and timeout_ticks >= 0:
+                    deadline_slot = max(client.server_slot, 0) + timeout_ticks
+                tt = timeout_ticks
+                if deadline_slot is not None:
+                    tt = max(0, deadline_slot - max(client.server_slot, 0))
+                # Recorded in the same step as the SUBMIT is queued, so a tick
+                # released by this record follows it on the wire.
+                self._mark_sent(key, client)
+                try:
+                    reply = await client.submit(
+                        request, timeout_ticks=tt, request_id=request_id
+                    )
+                except RETRYABLE_NET_ERRORS:
+                    continue  # reconnect and redeliver under the same id
+                if (
+                    isinstance(reply, proto.Reject)
+                    and reply.reason is RejectReason.DUPLICATE
+                ):
+                    # In doubt.  Either our redelivery raced the still-pending
+                    # original, or the *network* delivered our SUBMIT twice
+                    # and the immediate DUPLICATE reject outran the real
+                    # outcome (both carry our seq).  The wrapper never reuses
+                    # a request_id across logical requests, so a DUPLICATE
+                    # can only mean "the original is still in flight": wait
+                    # for a tick to resolve it, then resubmit — dedup replays
+                    # the recorded grant (or treats a released reject as a
+                    # fresh, already-expired request).
+                    # Not in flight while it waits, so the tick can go out.
+                    self._unmark_sent(key)
+                    ev = self._ticked
+                    try:
+                        await asyncio.wait_for(ev.wait(), 5.0)
+                    except asyncio.TimeoutError:
+                        pass
+                    self._mark_sent(key, None)
+                    continue
+                return reply
+        finally:
+            self._unmark_sent(key)
 
     async def advance_to(self, target_slot: int) -> int:
         """Idempotently drive the server to ``target_slot``.
@@ -734,6 +780,12 @@ class ResilientNetClient:
                 )
             if client.server_slot >= target_slot:
                 return client.server_slot
+            if any(c is not client for c in self._sent_on.values()):
+                # A submit called before this tick is not yet on this
+                # connection (first send or redelivery pending): it goes
+                # first.
+                await self._resent.wait()
+                continue
             try:
                 await client.tick(target_slot - client.server_slot)
             except RETRYABLE_NET_ERRORS:

@@ -305,6 +305,10 @@ class ProcessShardedService:
             )
             for p in expired:
                 self.edge.resolve_rejected(p, RejectReason.TIMED_OUT, slot)
+                if self.breakers is not None:
+                    # As in SchedulingService: a timed-out request is a
+                    # shard that was too slow, counted against its health.
+                    self.breakers[o].record_failure(slot)
             for p in blocked:
                 self.edge.resolve_rejected(p, RejectReason.SOURCE_BLOCKED, slot)
             if survivors:

@@ -48,7 +48,7 @@ from repro.errors import (
 )
 from repro.net import protocol as proto
 from repro.service.server import Rejected, RejectReason, ServiceGrant
-from repro.util.framing import FrameDecoder, encode_frame
+from repro.util.framing import FrameDecoder, FrameWriter
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.net.protocol import Message
@@ -59,19 +59,24 @@ _READ_CHUNK = 65536
 
 
 class _Conn:
-    """Per-connection state: writer, negotiated version, watched futures."""
+    """Per-connection state: writer, negotiated version, watched futures,
+    and the frames queued for the next write."""
 
-    __slots__ = ("writer", "watched", "closed", "version")
+    __slots__ = ("writer", "watched", "closed", "version", "frames")
 
     def __init__(self, writer: asyncio.StreamWriter) -> None:
         self.writer = writer
         self.watched: "set[asyncio.Future]" = set()
         self.closed = False
         self.version = max(proto.PROTOCOL_VERSIONS)
+        self.frames = FrameWriter(writer.write)
 
     def send(self, msg: "Message") -> None:
+        """Queue one frame.  Frames queued in one event-loop turn (a
+        tick's GRANT/REJECT callbacks all run in one) reach the transport
+        in a single ``write()`` at the end of the turn, in send order."""
         if not self.closed:
-            self.writer.write(encode_frame(proto.encode_message(msg)))
+            self.frames.send(proto.encode_message(msg))
 
 
 class NetServer:
@@ -177,6 +182,8 @@ class NetServer:
         service still owns them; we just must not write) and close."""
         if conn.closed:
             return
+        # A final ERROR/BYE still goes out before the close.
+        conn.frames.flush()
         conn.closed = True
         self._conns.discard(conn)
         conn.watched.clear()
@@ -247,6 +254,7 @@ class NetServer:
             await self._flush(conn)
 
     async def _flush(self, conn: _Conn) -> None:
+        conn.frames.flush()
         if not conn.closed and not conn.writer.is_closing():
             try:
                 await conn.writer.drain()

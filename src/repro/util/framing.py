@@ -26,12 +26,17 @@ consumers fail differently:
   so a CRC mismatch or an absurd length header raises a typed
   :class:`~repro.errors.FramingError` instead of silently truncating —
   the connection must die loudly, not hang.
+
+:class:`FrameWriter` is the stream's sending side: it batches the frames
+queued in one event-loop turn into one ``write()``.
 """
 
 from __future__ import annotations
 
+import asyncio
 import struct
 import zlib
+from typing import Callable
 
 from repro.errors import FramingError, InvalidParameterError
 
@@ -42,6 +47,7 @@ __all__ = [
     "encode_frame",
     "decode_frames",
     "FrameDecoder",
+    "FrameWriter",
 ]
 
 #: Frame envelope: payload length (u32), CRC32 of the payload (u32).
@@ -164,3 +170,40 @@ class FrameDecoder:
             del self._buf[:end]
             payloads.append(payload)
         return payloads
+
+
+class FrameWriter:
+    """Coalescing frame writer for a byte *stream* (TCP).
+
+    :meth:`send` frames a payload and queues it.  The first frame queued
+    in an event-loop turn schedules one ``loop.call_soon`` :meth:`flush`,
+    which hands every queued frame to ``write`` in a single call.  The
+    bytes written are the frames in send order, whenever the flush runs:
+    batching changes only the number of ``write()`` calls, which on a
+    socket are one syscall each.  The owner flushes before it awaits a
+    drain or closes the stream, and discards the queue (:meth:`discard`)
+    when it aborts the stream.
+    """
+
+    __slots__ = ("_write", "_queue")
+
+    def __init__(self, write: Callable[[bytes], object]) -> None:
+        self._write = write
+        self._queue: list[bytes] = []
+
+    def send(self, payload: bytes) -> None:
+        """Queue ``payload`` as one frame for this turn's write."""
+        if not self._queue:
+            asyncio.get_running_loop().call_soon(self.flush)
+        self._queue.append(encode_frame(payload))
+
+    def flush(self) -> None:
+        """Write every queued frame now, in one call."""
+        if self._queue:
+            data = b"".join(self._queue)
+            self._queue.clear()
+            self._write(data)
+
+    def discard(self) -> None:
+        """Drop the queued frames unwritten."""
+        self._queue.clear()

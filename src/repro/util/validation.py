@@ -20,6 +20,10 @@ __all__ = [
 
 
 def _as_int(value: object, name: str) -> int:
+    # Exact ``int`` (never ``bool``, a subclass) skips the ABC check, which
+    # costs more than the rest of a request's validation.
+    if type(value) is int:
+        return value
     if isinstance(value, bool) or not isinstance(value, numbers.Integral):
         raise InvalidParameterError(f"{name} must be an integer, got {value!r}")
     return int(value)

@@ -1,7 +1,9 @@
 """Tests for the wavelength-conversion schemes (paper Section II-A, Fig. 2)."""
 
+import numpy as np
 import pytest
 from hypothesis import given
+from hypothesis import strategies as st
 
 from repro.errors import InvalidParameterError
 from repro.graphs.conversion import (
@@ -143,3 +145,51 @@ class TestEquality:
         fr = FullRangeConversion(5)
         circ = CircularConversion(5, fr.e, fr.f)
         assert fr != circ
+
+
+@st.composite
+def _schemes(draw):
+    """Circular, non-circular, full-range and degraded schemes."""
+    k, e, f = draw(conversion_params())
+    kind = draw(st.sampled_from(["circular", "noncircular", "full"]))
+    if kind == "full":
+        scheme = FullRangeConversion(k)
+    elif kind == "circular":
+        scheme = CircularConversion(k, e, f)
+    else:
+        scheme = NonCircularConversion(k, e, f)
+    if draw(st.booleans()):
+        scheme = scheme.degraded(
+            draw(st.integers(0, scheme.e)), draw(st.integers(0, scheme.f))
+        )
+    return scheme
+
+
+class TestCanConvertMatchesAdjacency:
+    """``can_convert`` answers from cached adjacency sets; it must agree
+    with :meth:`adjacency` and keep its range checks."""
+
+    @given(_schemes())
+    def test_agrees_with_adjacency_everywhere(self, scheme):
+        for w in range(scheme.k):
+            adjacency = scheme.adjacency(w)
+            for b in range(scheme.k):
+                assert scheme.can_convert(w, b) == (b in adjacency)
+                assert scheme.can_convert(np.int64(w), np.int32(b)) == (
+                    b in adjacency
+                )
+
+    @given(_schemes(), st.integers(-3, 20), st.integers(-3, 20))
+    def test_out_of_range_still_raises(self, scheme, w, b):
+        if 0 <= w < scheme.k and 0 <= b < scheme.k:
+            return
+        with pytest.raises(InvalidParameterError):
+            scheme.can_convert(w, b)
+
+    @pytest.mark.parametrize("bad", [1.0, "1", True, None])
+    def test_non_integer_arguments_raise(self, bad):
+        scheme = CircularConversion(6, 1, 1)
+        with pytest.raises(InvalidParameterError):
+            scheme.can_convert(bad, 1)
+        with pytest.raises(InvalidParameterError):
+            scheme.can_convert(1, bad)

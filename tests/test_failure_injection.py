@@ -1,15 +1,29 @@
 """Failure-injection tests: defective schedulers must be caught, not
 propagated into wrong simulation results."""
 
+import asyncio
+
 import numpy as np
 import pytest
 
+import repro.core.base
+import repro.core.distributed
 from repro.core.base import Scheduler, validate_schedule
-from repro.core.distributed import DistributedScheduler, SlotRequest
+from repro.core.break_first_available import BreakFirstAvailableScheduler
+from repro.core.distributed import (
+    DistributedScheduler,
+    SlotRequest,
+    schedule_output_fiber,
+)
+from repro.core.first_available import FirstAvailableScheduler
+from repro.core.memo import ScheduleCache
+from repro.core.policies import FixedPriorityPolicy
 from repro.errors import ScheduleError, SimulationError
 from repro.faults import ChannelOutage, FaultPlan
-from repro.graphs.conversion import CircularConversion
+from repro.graphs.conversion import CircularConversion, NonCircularConversion
 from repro.graphs.request_graph import RequestGraph
+from repro.service import SchedulingService
+from repro.service.server import Rejected, RejectReason
 from repro.sim.engine import SlottedSimulator
 from repro.sim.fast import FastPacketSimulator
 from repro.sim.traffic import BernoulliTraffic
@@ -129,6 +143,141 @@ class TestDistributedRejectsEvilSchedulers:
         ds = DistributedScheduler(2, scheme, _EvilScheduler(grants_fn))
         with pytest.raises(Exception):
             ds.schedule_slot([SlotRequest(0, 0, 0)])
+
+
+#: One infeasible schedule per defect class, on output fiber 0 of a
+#: CircularConversion(6, 1, 1): the requests' wavelengths, the channel
+#: that is occupied (or None), the grants, and the certificate's message.
+_DEFECTS = {
+    "channel_twice": ([0, 1], None, [Grant(0, 1), Grant(1, 1)], "twice"),
+    "occupied_channel": ([0], 0, [Grant(0, 0)], "occupied"),
+    "out_of_window": ([0], None, [Grant(0, 3)], "converted"),
+    "phantom_grant": ([0], None, [Grant(0, 0), Grant(2, 2)], "arrived"),
+}
+
+
+def _defect_case(name):
+    wavelengths, occupied, grants, match = _DEFECTS[name]
+    requests = [SlotRequest(i, w, 0) for i, w in enumerate(wavelengths)]
+    available = [b != occupied for b in range(6)]
+    return requests, available, _EvilScheduler(lambda rg: grants), match
+
+
+class _OverridingBFA(BreakFirstAvailableScheduler):
+    """A BFA subclass whose ``schedule`` bypasses ``make_result`` — only
+    FA/BFA themselves are trusted to certify their own results."""
+
+    def schedule(self, rg: RequestGraph) -> ScheduleResult:
+        return ScheduleResult(
+            grants=(Grant(0, 0), Grant(1, 0)),
+            request_vector=rg.request_vector,
+            available=rg.available,
+        )
+
+
+@pytest.mark.parametrize("defect", sorted(_DEFECTS))
+class TestTrustBoundary:
+    """A third-party scheduler's infeasible schedule is caught at every
+    layer that hands out channels."""
+
+    def test_schedule_output_fiber(self, scheme, defect):
+        requests, available, evil, match = _defect_case(defect)
+        with pytest.raises(ScheduleError, match=match):
+            schedule_output_fiber(
+                scheme, evil, FixedPriorityPolicy(), 0, requests, available
+            )
+
+    def test_distributed_scheduler(self, scheme, defect):
+        requests, available, evil, match = _defect_case(defect)
+        ds = DistributedScheduler(2, scheme, evil)
+        with pytest.raises(ScheduleError, match=match):
+            ds.schedule_slot(requests, availability={0: available})
+
+    def test_service_crashes_the_shard(self, scheme, defect):
+        requests, available, evil, _match = _defect_case(defect)
+        outages = tuple(
+            ChannelOutage(0, b, start=0, duration=10)
+            for b, free in enumerate(available)
+            if not free
+        )
+
+        async def go():
+            service = SchedulingService(
+                2, scheme, evil, durability=False,
+                faults=FaultPlan(outages=outages),
+            )
+            try:
+                futures = [service.submit_nowait(r) for r in requests]
+                await service.tick()
+                outcomes = [await f for f in futures]
+                return outcomes, service.shards[0]
+            finally:
+                await service.stop()
+
+        outcomes, shard = asyncio.run(go())
+        assert all(
+            isinstance(o, Rejected) and o.reason is RejectReason.SHARD_DOWN
+            for o in outcomes
+        )
+        assert isinstance(shard._crash_cause, ScheduleError)
+
+
+class TestCertificateRunsOnce:
+    def _count_validations(self, monkeypatch) -> list:
+        calls = []
+        original = repro.core.base.validate_schedule
+
+        def counting(rg, grants):
+            calls.append(rg)
+            return original(rg, grants)
+
+        monkeypatch.setattr(repro.core.base, "validate_schedule", counting)
+        monkeypatch.setattr(
+            repro.core.distributed, "validate_schedule", counting
+        )
+        return calls
+
+    def test_overriding_subclass_is_revalidated(self, scheme):
+        with pytest.raises(ScheduleError, match="twice"):
+            schedule_output_fiber(
+                scheme, _OverridingBFA(cache=None), FixedPriorityPolicy(), 0,
+                [SlotRequest(0, 0, 0), SlotRequest(1, 1, 0)], None,
+            )
+
+    @pytest.mark.parametrize(
+        "scheme, scheduler_cls",
+        [
+            (NonCircularConversion(6, 1, 1), FirstAvailableScheduler),
+            (CircularConversion(6, 1, 1), BreakFirstAvailableScheduler),
+        ],
+    )
+    def test_fa_bfa_certify_once_per_miss_and_not_on_a_hit(
+        self, monkeypatch, scheme, scheduler_cls
+    ):
+        calls = self._count_validations(monkeypatch)
+        scheduler = scheduler_cls(cache=ScheduleCache(maxsize=16))
+        requests = [SlotRequest(i, i % 3, 0) for i in range(5)]
+        policy = FixedPriorityPolicy()
+        first, granted, _rej = schedule_output_fiber(
+            scheme, scheduler, policy, 0, requests, None
+        )
+        assert len(calls) == 1
+        assert granted
+        again, _g, _r = schedule_output_fiber(
+            scheme, scheduler, policy, 0, requests, None
+        )
+        assert len(calls) == 1  # memo hit: certified when it was stored
+        assert again == first
+
+    def test_third_party_scheduler_is_certified_by_the_boundary(
+        self, monkeypatch, scheme
+    ):
+        calls = self._count_validations(monkeypatch)
+        schedule_output_fiber(
+            scheme, _EvilScheduler(lambda rg: [Grant(0, 0)]),
+            FixedPriorityPolicy(), 0, [SlotRequest(0, 0, 0)], None,
+        )
+        assert len(calls) == 1
 
 
 class _EvilFastSimulator(FastPacketSimulator):

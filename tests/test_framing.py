@@ -12,6 +12,7 @@ protocol, so it carries both decode disciplines' property suites:
   ``struct.error``.
 """
 
+import asyncio
 import struct
 import zlib
 
@@ -23,6 +24,7 @@ from repro.errors import FramingError, InvalidParameterError
 from repro.util.framing import (
     FRAME_HEADER_SIZE,
     FrameDecoder,
+    FrameWriter,
     decode_frames,
     encode_frame,
 )
@@ -163,6 +165,40 @@ class TestStrictStream:
     def test_invalid_max_payload_rejected(self):
         with pytest.raises(InvalidParameterError):
             FrameDecoder(max_payload=0)
+
+
+class TestFrameWriter:
+    """One ``write()`` per event-loop turn, carrying the frames in send
+    order; an explicit flush writes at once, a discard writes nothing."""
+
+    @given(st.lists(payloads_st, min_size=1, max_size=4))
+    def test_one_write_per_turn_in_send_order(self, turns):
+        async def go():
+            writes = []
+            frames = FrameWriter(writes.append)
+            for payloads in turns:
+                for p in payloads:
+                    frames.send(p)
+                await asyncio.sleep(0)
+            return writes
+
+        writes = asyncio.run(go())
+        assert writes == [encode_all(p) for p in turns if p]
+
+    def test_flush_and_discard(self):
+        async def go():
+            writes = []
+            frames = FrameWriter(writes.append)
+            frames.send(b"a")
+            frames.send(b"b")
+            frames.flush()
+            assert writes == [encode_all([b"a", b"b"])]
+            frames.send(b"c")
+            frames.discard()
+            await asyncio.sleep(0)
+            return writes
+
+        assert asyncio.run(go()) == [encode_all([b"a", b"b"])]
 
 
 class TestJournalReusesCodec:

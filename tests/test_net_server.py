@@ -9,23 +9,30 @@ descriptors under repeated connect/cancel cycles.
 import asyncio
 import gc
 import os
+import random
+import subprocess
+import sys
 import warnings
+from pathlib import Path
 
 import pytest
 
 pytestmark = pytest.mark.net
 
+import repro
+from repro.core.break_first_available import BreakFirstAvailableScheduler
 from repro.core.distributed import SlotRequest
 from repro.core.first_available import FirstAvailableScheduler
 from repro.core.policies import WeightedFairPolicy
 from repro.errors import ProtocolError
-from repro.graphs.conversion import NonCircularConversion
+from repro.graphs.conversion import CircularConversion, NonCircularConversion
 from repro.net import protocol as proto
-from repro.net.client import NetClient
+from repro.net.client import NetClient, ResilientNetClient
+from repro.net import server as server_mod
 from repro.net.server import NetServer
 from repro.service import OverflowPolicy, SchedulingService, TenantAdmission
 from repro.service.server import Rejected, RejectReason
-from repro.util.framing import encode_frame
+from repro.util.framing import FrameDecoder, encode_frame
 
 N_FIBERS, K = 4, 3
 
@@ -724,3 +731,207 @@ class TestUnavailableDowngrade:
             run(self._reject_seen_by((1, 2, 3)))
             is RejectReason.SHARD_DOWN
         )
+
+
+def _record_writes(transport) -> list[bytes]:
+    """Wrap ``transport.write`` to record each call's bytes."""
+    writes: list[bytes] = []
+    original = transport.write
+
+    def write(data):
+        writes.append(bytes(data))
+        original(data)
+
+    transport.write = write
+    return writes
+
+
+async def _read_to_eof(reader) -> list:
+    decoder = FrameDecoder(max_payload=proto.MAX_MESSAGE)
+    messages = []
+    while data := await asyncio.wait_for(reader.read(65536), 5):
+        messages.extend(proto.decode_message(p) for p in decoder.feed(data))
+    return messages
+
+
+class TestWriteCoalescing:
+    """Frames queued in one event-loop turn go out in one ``write()`` at
+    each end; the bytes on the wire and their order do not change."""
+
+    N, SLOT_REQUESTS, SLOTS = 16, 200, 3
+
+    def _slot(self, rng: random.Random) -> list[SlotRequest]:
+        channels = rng.sample(range(self.N * self.N), self.SLOT_REQUESTS)
+        return [
+            SlotRequest(c // self.N, c % self.N, rng.randrange(self.N))
+            for c in channels
+        ]
+
+    def test_full_slots_keep_the_byte_stream_and_take_o1_writes(
+        self, monkeypatch
+    ):
+        sent: list = []
+        original_send = server_mod._Conn.send
+
+        def recording_send(conn, msg):
+            if not conn.closed:
+                sent.append(msg)
+            original_send(conn, msg)
+
+        async def go():
+            service = SchedulingService(
+                self.N,
+                CircularConversion(self.N, 1, 1),
+                BreakFirstAvailableScheduler(),
+                durability=False,
+            )
+            server = NetServer(service)
+            await server.start()
+            client = await NetClient.connect("127.0.0.1", server.port)
+            try:
+                (conn,) = server._conns
+                server_writes = _record_writes(conn.writer.transport)
+                client_writes = _record_writes(client._writer.transport)
+                monkeypatch.setattr(server_mod._Conn, "send", recording_send)
+                rng = random.Random(12)
+                replies = []
+                for _ in range(self.SLOTS):
+                    futures = [
+                        client.submit_nowait(r) for r in self._slot(rng)
+                    ]
+                    await client.tick()
+                    replies.append(await asyncio.gather(*futures))
+                return server_writes, client_writes, replies
+            finally:
+                await client.close()
+                await server.stop()
+                await service.stop()
+
+        server_writes, client_writes, replies = run(go())
+        # The server wrote exactly the frames it was asked to send, in
+        # send order, and the client decoded one reply per SUBMIT.
+        assert b"".join(server_writes) == b"".join(
+            encode_frame(proto.encode_message(m)) for m in sent
+        )
+        outcomes = (proto.Grant, proto.Reject)
+        answered = sorted(m.seq for m in sent if isinstance(m, outcomes))
+        assert answered == list(range(1, self.SLOTS * self.SLOT_REQUESTS + 1))
+        assert [type(m) for m in sent].count(proto.TickDone) == self.SLOTS
+        for slot_replies in replies:
+            assert all(isinstance(r, outcomes) for r in slot_replies)
+        # O(1) transport writes per slot at both ends, not one per frame.
+        assert len(client_writes) <= 2 * self.SLOTS
+        assert len(server_writes) <= 4 * self.SLOTS
+
+    def test_error_queued_before_close_is_delivered(self):
+        async def go():
+            service, server = await _stack()
+            try:
+                reader, writer = await asyncio.open_connection(
+                    "127.0.0.1", server.port
+                )
+                frame = bytearray(
+                    encode_frame(proto.encode_message(proto.Hello((4,))))
+                )
+                frame[-1] ^= 0xFF
+                writer.write(bytes(frame))
+                messages = await _read_to_eof(reader)
+                writer.close()
+                await writer.wait_closed()
+                return messages
+            finally:
+                await server.stop()
+                await service.stop()
+
+        (msg,) = run(go())
+        assert isinstance(msg, proto.ErrorMsg)
+        assert msg.code == proto.ErrorCode.BAD_FRAME
+
+    def test_bye_queued_before_idle_close_is_delivered(self):
+        async def go():
+            service = _service()
+            server = NetServer(service, idle_timeout=0.2)
+            await server.start()
+            try:
+                reader, writer = await asyncio.open_connection(
+                    "127.0.0.1", server.port
+                )
+                writer.write(
+                    encode_frame(proto.encode_message(proto.Hello((4,))))
+                )
+                messages = await _read_to_eof(reader)
+                writer.close()
+                await writer.wait_closed()
+                return messages
+            finally:
+                await server.stop()
+                await service.stop()
+
+        welcome, bye = run(go())
+        assert isinstance(welcome, proto.Welcome)
+        assert isinstance(bye, proto.Bye)
+
+
+class TestResilientReconnectOrdering:
+    """After a reconnect, the client's view of the server slot and the
+    order of submits and ticks stay what they were before it."""
+
+    def test_no_tick_is_sized_from_an_unsynced_slot(self):
+        async def go():
+            service, server = await _stack()
+            rc = await ResilientNetClient.connect("127.0.0.1", server.port)
+            try:
+                await rc.advance_to(3)
+                rc._client.abort("test")
+                reconnect = asyncio.ensure_future(rc.advance_to(3))
+                # Catch the reconnect between WELCOME and the resync PONG.
+                for _ in range(10_000):
+                    c = rc._client
+                    if c is not None and c.healthy and c.server_slot < 0:
+                        break
+                    await asyncio.sleep(0)
+                else:
+                    pytest.fail("never observed the reconnect window")
+                reached = await rc.advance_to(5)
+                await reconnect
+                return reached, service.slot
+            finally:
+                await rc.close()
+                await server.stop()
+                await service.stop()
+
+        assert run(go()) == (5, 5)
+
+    def test_redelivery_precedes_the_tick_that_reconnected(self):
+        async def go():
+            service, server = await _stack()
+            rc = await ResilientNetClient.connect("127.0.0.1", server.port)
+            try:
+                await rc.advance_to(2)
+                rc._client.abort("test")
+                # The tick task reconnects; the submit, called before the
+                # tick is sent, waits behind it for the connection.
+                ticking = asyncio.ensure_future(rc.tick(1))
+                submitting = asyncio.ensure_future(
+                    rc.submit(SlotRequest(0, 0, 0), request_id="r1")
+                )
+                assert await ticking == 3
+                return await asyncio.wait_for(submitting, 5)
+            finally:
+                await rc.close()
+                await server.stop()
+                await service.stop()
+
+        reply = run(go())
+        assert isinstance(reply, proto.Grant) and reply.slot == 2
+
+
+def test_server_path_does_not_import_scipy():
+    src = Path(repro.__file__).resolve().parents[1]
+    code = (
+        "import sys, repro.net.server, repro.net.procservice; "
+        "sys.exit(any(m.split('.')[0] == 'scipy' for m in sys.modules))"
+    )
+    env = dict(os.environ, PYTHONPATH=str(src))
+    proc = subprocess.run([sys.executable, "-c", code], env=env)
+    assert proc.returncode == 0

@@ -425,3 +425,85 @@ class TestUnresponsiveWorker:
                 n_workers=1,
                 unresponsive_timeout=0.0,
             )
+
+
+class TestBreakerParity:
+    """Both services count a TIMED_OUT request against its shard's
+    breaker, so one seeded timeout workload leaves equal breakers."""
+
+    SLOTS, PER_SLOT = 24, 6
+
+    def _workload(self) -> list[list[tuple[SlotRequest, int]]]:
+        import random
+
+        rng = random.Random(20260417)
+        slots = []
+        for _ in range(self.SLOTS):
+            channels = rng.sample(range(N_FIBERS * K), self.PER_SLOT)
+            slots.append([
+                (
+                    SlotRequest(c // K, c % K, rng.randrange(2)),
+                    rng.randrange(3),
+                )
+                for c in channels
+            ])
+        return slots
+
+    async def _drive(self, service) -> list:
+        futures = []
+        for batch in self._workload():
+            futures += [
+                service.submit_nowait(r, timeout_ticks=t) for r, t in batch
+            ]
+            await service.tick()
+        while not all(f.done() for f in futures):
+            await service.tick()
+        return [
+            "granted" if isinstance(f.result(), ServiceGrant)
+            else f.result().reason.value
+            for f in futures
+        ]
+
+    def test_timeouts_feed_the_breakers_alike(self):
+        from repro.service import SchedulingService
+
+        config = BreakerConfig(failure_threshold=2, reset_ticks=3)
+        kwargs = dict(max_batch_per_tick=1, breaker=config)
+
+        async def go():
+            results = []
+            for service in (
+                SchedulingService(
+                    N_FIBERS, NonCircularConversion(K, 1, 1),
+                    FirstAvailableScheduler(), durability=False, **kwargs,
+                ),
+                _service(**kwargs),
+            ):
+                try:
+                    reasons = await self._drive(service)
+                    results.append((
+                        reasons,
+                        [
+                            (
+                                b.state,
+                                b._consecutive_failures,
+                                b._opened_at_tick,
+                            )
+                            for b in service.breakers
+                        ],
+                        {
+                            n: v
+                            for n, v in service.telemetry.snapshot()[
+                                "counters"
+                            ].items()
+                            if n.startswith(("breaker.", "server.rejected."))
+                            or n in ("server.granted", "server.submitted")
+                        },
+                    ))
+                finally:
+                    await service.stop()
+            return results
+
+        (reasons, breakers, counters), other = run(go())
+        assert "timed_out" in reasons and "circuit_open" in reasons
+        assert other == (reasons, breakers, counters)

@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from repro.errors import InvalidParameterError
 from repro.util.rng import make_rng, spawn_rngs
@@ -51,6 +53,37 @@ class TestValidation:
     def test_error_message_names_parameter(self):
         with pytest.raises(InvalidParameterError, match="wavelengths"):
             check_positive_int(-2, "wavelengths")
+
+
+class TestAsIntFastPath:
+    """``int`` takes a fast path; numpy integers keep the ABC path.  Both
+    return a plain ``int``, and the rejections are unchanged."""
+
+    _numpy_ints = st.sampled_from(
+        [np.int8, np.int16, np.int32, np.int64, np.uint8, np.uint32]
+    )
+
+    @given(st.integers(0, 2**62))
+    def test_python_int_accepted(self, value):
+        out = check_nonnegative_int(value, "x")
+        assert out == value and type(out) is int
+
+    @given(_numpy_ints, st.integers(0, 127))
+    def test_numpy_int_accepted_as_python_int(self, dtype, value):
+        out = check_index(dtype(value), 128, "x")
+        assert out == value and type(out) is int
+
+    @given(
+        st.one_of(
+            st.booleans(),
+            st.sampled_from([np.bool_(True), np.bool_(False)]),
+            st.floats(allow_nan=True),
+            st.text(max_size=3),
+        )
+    )
+    def test_non_integers_rejected(self, value):
+        with pytest.raises(InvalidParameterError, match="must be an integer"):
+            check_nonnegative_int(value, "x")
 
 
 class TestRng:
