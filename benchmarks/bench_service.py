@@ -1,5 +1,5 @@
 """Benchmark the asyncio scheduling service: sustained requests/sec and
-p50/p99 grant latency as a function of shard count and execution mode.
+p50/p99 grant latency as a function of shard count.
 
 Run standalone for the full sweep::
 
@@ -8,9 +8,8 @@ Run standalone for the full sweep::
 or under pytest (``pytest benchmarks/bench_service.py``) for a smaller
 smoke-sized sweep with shape assertions.  The per-output decomposition says
 work per slot is ``O(N·k)`` with perfect shardability — so requests/sec
-should scale with shard count until the event loop (INLINE) or the GIL
-(THREADS) saturates, and the VECTORIZED batch path should lift the
-large-``N`` ceiling.
+should scale with shard count until the event loop, which runs every
+shard in turn, saturates.
 """
 
 from __future__ import annotations
@@ -19,7 +18,7 @@ import asyncio
 from dataclasses import dataclass
 
 from repro.core.break_first_available import BreakFirstAvailableScheduler
-from repro.service import ExecutionMode, LoadGenerator, SchedulingService
+from repro.service import LoadGenerator, SchedulingService
 from repro.sim.traffic import BernoulliTraffic
 from repro.graphs.conversion import CircularConversion
 from repro.util.tables import format_table
@@ -28,7 +27,6 @@ from repro.util.tables import format_table
 @dataclass
 class ServiceBenchResult:
     shards: int
-    mode: str
     offered: int
     granted: int
     requests_per_sec: float
@@ -42,7 +40,6 @@ def run_service_bench(
     k: int = 16,
     load: float = 0.85,
     n_slots: int = 150,
-    mode: ExecutionMode = ExecutionMode.INLINE,
     seed: int = 20030422,
 ) -> ServiceBenchResult:
     """Drive one service configuration to completion and report it."""
@@ -52,7 +49,6 @@ def run_service_bench(
             n_fibers,
             CircularConversion(k, 1, 1),
             BreakFirstAvailableScheduler(),
-            mode=mode,
             tick_interval=0.0,
         )
         generator = LoadGenerator(
@@ -62,7 +58,6 @@ def run_service_bench(
         await service.stop()
         return ServiceBenchResult(
             shards=n_fibers,
-            mode=mode.value,
             offered=report.offered,
             granted=report.granted,
             requests_per_sec=report.requests_per_sec,
@@ -74,24 +69,16 @@ def run_service_bench(
     return asyncio.run(go())
 
 
-def sweep(
-    shard_counts=(4, 8, 16, 32),
-    modes=(ExecutionMode.INLINE, ExecutionMode.THREADS, ExecutionMode.VECTORIZED),
-    **kwargs,
-) -> list[ServiceBenchResult]:
-    return [
-        run_service_bench(n, mode=mode, **kwargs)
-        for mode in modes
-        for n in shard_counts
-    ]
+def sweep(shard_counts=(4, 8, 16, 32), **kwargs) -> list[ServiceBenchResult]:
+    return [run_service_bench(n, **kwargs) for n in shard_counts]
 
 
 def render(results: list[ServiceBenchResult]) -> str:
     return format_table(
-        ["mode", "shards", "offered", "granted", "req/s", "grant rate",
+        ["shards", "offered", "granted", "req/s", "grant rate",
          "p50 (ms)", "p99 (ms)"],
         [
-            (r.mode, r.shards, r.offered, r.granted, r.requests_per_sec,
+            (r.shards, r.offered, r.granted, r.requests_per_sec,
              r.grant_rate, r.p50_ms, r.p99_ms)
             for r in results
         ],
@@ -114,25 +101,13 @@ def test_service_throughput_two_shard_counts():
     assert results[1].offered > 2 * results[0].offered
 
 
-def test_service_modes_agree_on_grants():
-    grants = {
-        mode: run_service_bench(8, n_slots=30, mode=mode).granted
-        for mode in (
-            ExecutionMode.INLINE,
-            ExecutionMode.THREADS,
-            ExecutionMode.VECTORIZED,
-        )
-    }
-    assert len(set(grants.values())) == 1, grants
-
-
 def main() -> None:
     results = sweep()
     print(render(results))
     best = max(results, key=lambda r: r.requests_per_sec)
     print(
         f"\npeak sustained throughput: {best.requests_per_sec:,.0f} req/s "
-        f"({best.mode}, {best.shards} shards, "
+        f"({best.shards} shards, "
         f"p50 {best.p50_ms:.2f} ms, p99 {best.p99_ms:.2f} ms)"
     )
 

@@ -4,14 +4,13 @@ Under unicast traffic the requests arriving in one slot partition into ``N``
 subsets by destination fiber, and "the decision of accepting a request or not
 in one subset does not affect the decisions in other subsets".  The
 :class:`DistributedScheduler` exploits exactly this: one independent
-per-output scheduler instance per fiber, optionally executed concurrently,
-with total per-slot work ``O(N · k)`` / ``O(N · dk)`` — i.e. ``O(k)`` or
-``O(dk)`` *per scheduling unit*, independent of interconnect size ``N``.
+per-output scheduling decision per fiber, with total per-slot work
+``O(N · k)`` / ``O(N · dk)`` — i.e. ``O(k)`` or ``O(dk)`` *per scheduling
+unit*, independent of interconnect size ``N``.
 """
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import Mapping, Sequence
 
@@ -407,19 +406,10 @@ class DistributedScheduler:
         Per-output contention-resolution algorithm (stateless; shared).
     policy:
         Grant policy breaking ties among same-wavelength requesters.
-    parallel:
-        Run the ``N`` independent per-output schedulers in a thread pool.
-        Results are identical to the sequential mode; this mirrors the
-        paper's "fast distributed scheduling" where each output fiber
-        schedules itself.
-    max_workers:
-        Thread-pool width when ``parallel`` (default: executor's choice).
 
-    The thread pool is created lazily on the first parallel slot and reused
-    for every subsequent slot (constructing a pool per slot costs more than
-    the per-slot scheduling work itself).  Call :meth:`close` — or use the
-    instance as a context manager — to release the worker threads early;
-    otherwise they are reclaimed at interpreter exit.
+    Output fibers are scheduled one after another in ascending order; each
+    decision is independent of the others (the paper's "fast distributed
+    scheduling", where each output fiber schedules itself).
     """
 
     def __init__(
@@ -428,37 +418,11 @@ class DistributedScheduler:
         scheme: ConversionScheme,
         scheduler: Scheduler,
         policy: GrantPolicy | None = None,
-        parallel: bool = False,
-        max_workers: int | None = None,
     ) -> None:
         self.n_fibers = check_positive_int(n_fibers, "n_fibers")
         self.scheme = scheme
         self.scheduler = scheduler
         self.policy = policy if policy is not None else FixedPriorityPolicy()
-        self.parallel = bool(parallel)
-        self.max_workers = max_workers
-        self._pool: ThreadPoolExecutor | None = None
-
-    def _ensure_pool(self) -> ThreadPoolExecutor:
-        if self._pool is None:
-            self._pool = ThreadPoolExecutor(
-                max_workers=self.max_workers,
-                thread_name_prefix="repro-distributed",
-            )
-        return self._pool
-
-    def close(self) -> None:
-        """Shut down the reusable thread pool (idempotent; a later parallel
-        slot transparently recreates it)."""
-        if self._pool is not None:
-            self._pool.shutdown(wait=True)
-            self._pool = None
-
-    def __enter__(self) -> "DistributedScheduler":
-        return self
-
-    def __exit__(self, *exc_info: object) -> None:
-        self.close()
 
     def _validate_requests(self, requests: Sequence[SlotRequest]) -> None:
         seen_channels: set[tuple[int, int]] = set()
@@ -471,19 +435,6 @@ class DistributedScheduler:
                     "carries two requests in one slot"
                 )
             seen_channels.add(channel)
-
-    def _schedule_output(
-        self,
-        output_fiber: int,
-        requests: list[SlotRequest],
-        available: Sequence[bool] | None,
-        degradations: "Mapping[int, tuple[int, int]] | None" = None,
-    ) -> tuple[int, ScheduleResult, list[GrantedRequest], list[SlotRequest]]:
-        result, granted, rejected = schedule_output_fiber(
-            self.scheme, self.scheduler, self.policy, output_fiber, requests,
-            available, degradations,
-        )
-        return output_fiber, result, granted, rejected
 
     def schedule_slot(
         self,
@@ -509,36 +460,28 @@ class DistributedScheduler:
         for r in requests:
             by_output.setdefault(r.output_fiber, []).append(r)
 
-        if availability is None:
-            jobs = [
-                (o, reqs, None, degradations)
-                for o, reqs in sorted(by_output.items())
-            ]
-        elif isinstance(availability, np.ndarray):
-            if availability.shape != (self.n_fibers, self.scheme.k):
-                raise InvalidParameterError(
-                    f"availability array shape {availability.shape} != "
-                    f"{(self.n_fibers, self.scheme.k)}"
-                )
-            jobs = [
-                (o, reqs, availability[o], degradations)
-                for o, reqs in sorted(by_output.items())
-            ]
-        else:
-            jobs = [
-                (o, reqs, availability.get(o), degradations)
-                for o, reqs in sorted(by_output.items())
-            ]
-        if self.parallel and len(jobs) > 1:
-            pool = self._ensure_pool()
-            outcomes = list(pool.map(lambda j: self._schedule_output(*j), jobs))
-        else:
-            outcomes = [self._schedule_output(*j) for j in jobs]
-
+        if isinstance(availability, np.ndarray) and availability.shape != (
+            self.n_fibers,
+            self.scheme.k,
+        ):
+            raise InvalidParameterError(
+                f"availability array shape {availability.shape} != "
+                f"{(self.n_fibers, self.scheme.k)}"
+            )
         per_output: dict[int, ScheduleResult] = {}
         granted: list[GrantedRequest] = []
         rejected: list[SlotRequest] = []
-        for o, result, g, rej in outcomes:
+        for o, reqs in sorted(by_output.items()):
+            if availability is None:
+                available = None
+            elif isinstance(availability, np.ndarray):
+                available = availability[o]
+            else:
+                available = availability.get(o)
+            result, g, rej = schedule_output_fiber(
+                self.scheme, self.scheduler, self.policy, o, reqs,
+                available, degradations,
+            )
             per_output[o] = result
             granted.extend(g)
             rejected.extend(rej)

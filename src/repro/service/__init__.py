@@ -5,8 +5,9 @@ independent per-output sub-problems, each solvable in ``O(k)`` / ``O(dk)``.
 This package serves that shape: one shard worker per output fiber
 (:mod:`~repro.service.shard`), bounded per-shard request queues with
 explicit backpressure (:mod:`~repro.service.queue`), an asyncio tick loop
-that batches submissions into slots and fans them out
-(:mod:`~repro.service.server`), a client/load-generator API
+that batches submissions into slots (:mod:`~repro.service.pipeline`,
+shared by the in-process :mod:`~repro.service.server` and the
+multi-process :mod:`repro.net.procservice`), a client/load-generator API
 (:mod:`~repro.service.client`), and built-in telemetry
 (:mod:`~repro.service.telemetry`).
 
@@ -73,7 +74,6 @@ from repro.service.resharding import (
     wave_bound,
 )
 from repro.service.server import (
-    ExecutionMode,
     Rejected,
     RejectReason,
     SchedulingService,
@@ -105,7 +105,6 @@ __all__ = [
     "Counter",
     "DurabilityConfig",
     "DurabilityManager",
-    "ExecutionMode",
     "FileJournal",
     "FileSnapshotStore",
     "Gauge",

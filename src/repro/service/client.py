@@ -384,8 +384,8 @@ class LoadGenerator:
                 futures.append(future)
             await service.tick()
             # Yield one loop pass so done-callbacks stamp *this* tick's
-            # grants now, not in bulk when the run finishes (INLINE ticks
-            # never suspend, so the loop would otherwise starve).
+            # grants now, not in bulk when the run finishes (in-process
+            # ticks never suspend, so the loop would otherwise starve).
             await asyncio.sleep(0)
         await service.drain()
         await asyncio.sleep(0)

@@ -12,7 +12,9 @@ semantics:
   replays its grant, an in-flight id answers ``DUPLICATE``, a rejected id
   is released),
 * resolution helpers that settle the dedup table and bump the per-reason
-  telemetry counters in one place.
+  telemetry counters in one place,
+* the outcome types every future resolves with (:class:`ServiceGrant`,
+  :class:`Rejected` and its :class:`RejectReason`).
 
 The edge never touches shard state; it only turns outcomes into resolved
 futures and counts.
@@ -21,16 +23,89 @@ futures and counts.
 from __future__ import annotations
 
 import asyncio
+import enum
 from collections import OrderedDict
+from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
 from repro.service.telemetry import Telemetry
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.core.distributed import SlotRequest
-    from repro.service.server import Rejected, RejectReason, ServiceGrant
 
-__all__ = ["PendingRequest", "SubmissionEdge"]
+__all__ = [
+    "PendingRequest",
+    "Rejected",
+    "RejectReason",
+    "ServiceGrant",
+    "SubmissionEdge",
+]
+
+
+class RejectReason(enum.Enum):
+    """Why a submitted request did not get a channel."""
+
+    #: Lost the output contention this tick (no free compatible channel).
+    CONTENTION = "contention"
+    #: Input channel still busy with an earlier grant (or an earlier
+    #: request in the same tick) — blocked at source.
+    SOURCE_BLOCKED = "source_blocked"
+    #: Bounded shard queue was full under the ``REJECT`` policy.
+    QUEUE_FULL = "queue_full"
+    #: Dropped by a ``DROP_TAIL``/``DROP_OLDEST`` queue overflow.
+    DROPPED = "dropped"
+    #: Deadline passed before a tick could schedule it.
+    TIMED_OUT = "timed_out"
+    #: Service stopped with the request still queued.
+    SHUTDOWN = "shutdown"
+    #: The owning shard worker is down (crashed, not yet restarted).
+    SHARD_DOWN = "shard_down"
+    #: Short-circuited by the shard's open circuit breaker.
+    CIRCUIT_OPEN = "circuit_open"
+    #: A retry of a ``request_id`` whose original is still in flight —
+    #: refused so at most one copy is ever scheduled (exactly-once; a
+    #: retry of an already *granted* id replays the original grant
+    #: instead of getting this).
+    DUPLICATE = "duplicate"
+    #: Shed by per-tenant admission control (``SHED`` overflow policy):
+    #: either evicted from the queue as the least-deserving request, or
+    #: refused at the door because the newcomer itself was least
+    #: deserving.  Unlike ``DROPPED``, the casualty is chosen by priority
+    #: class and weighted tenant share, not FIFO position.
+    ADMISSION_SHED = "admission_shed"
+    #: Refused at the edge by the per-tenant token-bucket rate limiter
+    #: (:mod:`repro.service.ratelimit`) — the tenant's bucket was empty,
+    #: so the request never reached a queue or a shard.
+    RATE_LIMITED = "rate_limited"
+    #: The backend responsible for this request is unreachable — an
+    #: edge↔worker partition or a worker that stayed unresponsive through
+    #: the pool's respawn budget.  Unlike ``SHARD_DOWN`` (the shard
+    #: itself crashed and its state is gone until supervision heals it),
+    #: the shard's state is intact somewhere we cannot currently reach;
+    #: the typed reject is the graceful degradation, and retrying after
+    #: the partition heals is expected to succeed.  Wire protocol ≥ 4;
+    #: older peers see ``SHARD_DOWN``.
+    UNAVAILABLE = "unavailable"
+
+
+@dataclass(frozen=True, slots=True)
+class ServiceGrant:
+    """A granted request: the assigned output channel and the grant slot."""
+
+    request: "SlotRequest"
+    channel: int
+    slot: int
+
+
+@dataclass(frozen=True, slots=True)
+class Rejected:
+    """A request that resolved without a channel, and why.  ``slot`` is the
+    tick that turned it away; a reject at submit time carries ``None``,
+    except ``DUPLICATE``, which carries the slot it was refused in."""
+
+    request: "SlotRequest"
+    reason: RejectReason
+    slot: int | None = None
 
 
 class PendingRequest:
@@ -58,7 +133,7 @@ class PendingRequest:
     def __init__(
         self,
         request: "SlotRequest",
-        future: "asyncio.Future[ServiceGrant | Rejected]",
+        future: asyncio.Future[ServiceGrant | Rejected],
         deadline: float | None,
         submitted_at: float,
         request_id: str | None = None,
@@ -80,7 +155,7 @@ class _DedupEntry:
     __slots__ = ("outcome",)
 
     def __init__(self) -> None:
-        self.outcome: "ServiceGrant | None" = None
+        self.outcome: ServiceGrant | None = None
 
 
 class SubmissionEdge:
@@ -102,9 +177,6 @@ class SubmissionEdge:
         self.c_submitted = t.counter("server.submitted")
         self.c_granted = t.counter("server.granted")
         self._c_duplicate = t.counter("server.duplicate")
-        # Deferred import to break the server<->edge cycle.
-        from repro.service.server import RejectReason
-
         self._reason_counters = {
             RejectReason.CONTENTION: t.counter("server.rejected.contention"),
             RejectReason.SOURCE_BLOCKED: t.counter(
@@ -135,7 +207,7 @@ class SubmissionEdge:
         # docs/SERVICE.md rely on.
         self._tenant_submitted: dict[int, object] = {}
         self._tenant_granted: dict[int, object] = {}
-        self._tenant_rejected: dict[tuple[int, "RejectReason"], object] = {}
+        self._tenant_rejected: dict[tuple[int, RejectReason], object] = {}
 
     # -- per-tenant accounting ----------------------------------------------
 
@@ -173,7 +245,7 @@ class SubmissionEdge:
         self,
         request: "SlotRequest",
         request_id: str | None,
-        future: "asyncio.Future[ServiceGrant | Rejected]",
+        future: asyncio.Future[ServiceGrant | Rejected],
         slot: int,
     ) -> str | None:
         """Apply the exactly-once admission rule for ``request_id``.
@@ -189,8 +261,6 @@ class SubmissionEdge:
             return None
         entry = self._dedup.get(request_id)
         if entry is not None:
-            from repro.service.server import Rejected, RejectReason
-
             self.note_submitted(request)
             self._c_duplicate.inc()
             key = (request.tenant, RejectReason.DUPLICATE)
@@ -213,7 +283,7 @@ class SubmissionEdge:
         return request_id
 
     def _settle_dedup(
-        self, pending: PendingRequest, outcome: "ServiceGrant | Rejected"
+        self, pending: PendingRequest, outcome: ServiceGrant | Rejected
     ) -> None:
         """Record a granted original for replay; release a rejected one
         (its caller's retry must be a fresh attempt, not a DUPLICATE)."""
@@ -222,8 +292,6 @@ class SubmissionEdge:
         entry = self._dedup.get(pending.request_id)
         if entry is None:  # evicted by the capacity bound
             return
-        from repro.service.server import ServiceGrant
-
         if isinstance(outcome, ServiceGrant):
             entry.outcome = outcome
         else:
@@ -232,7 +300,7 @@ class SubmissionEdge:
     # -- resolution ---------------------------------------------------------
 
     def resolve(
-        self, pending: PendingRequest, outcome: "ServiceGrant | Rejected"
+        self, pending: PendingRequest, outcome: ServiceGrant | Rejected
     ) -> None:
         self._settle_dedup(pending, outcome)
         if not pending.future.done():
@@ -241,11 +309,9 @@ class SubmissionEdge:
     def resolve_rejected(
         self,
         pending: PendingRequest,
-        reason: "RejectReason",
+        reason: RejectReason,
         slot: int | None = None,
     ) -> None:
-        from repro.service.server import Rejected
-
         self._reason_counters[reason].inc()
         tenant = pending.request.tenant
         key = (tenant, reason)

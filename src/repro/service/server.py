@@ -1,4 +1,4 @@
-"""The asyncio scheduling server: slot ticks, shard fan-out, timeouts.
+"""The in-process scheduling service: shards on the event loop.
 
 :class:`SchedulingService` turns the paper's per-slot batch schedulers into
 a long-running online service.  Callers submit
@@ -8,22 +8,15 @@ the service-side analogue of the simulator's synchronous time slot — and
 resolves each request's future with a :class:`ServiceGrant` or
 :class:`Rejected`.
 
-One tick does, in order (mirroring ``SlottedSimulator.step`` exactly, which
-is what the equivalence test relies on):
-
-1. **Drain** each shard's bounded queue (FIFO, optionally capped per tick).
-2. **Admission**: expire requests past their deadline (``TIMED_OUT``) and
-   requests whose input channel is still held by an earlier multi-slot
-   grant or by an earlier request in this same tick (``SOURCE_BLOCKED`` —
-   the input laser cannot transmit two signals).
-3. **Fan-out**: run each shard's per-output scheduler on the survivors —
-   inline on the event loop, on a thread pool (one task per shard), or via
-   the NumPy vectorized batch kernels on a worker thread
-   (:class:`ExecutionMode`).
-4. **Commit**: hold granted output/input channels for the connection's
-   duration, resolve futures, record telemetry (grant latency, tick
-   duration, occupancy, queue depths).
-5. **Advance** every shard's channel clock and the input-side busy state.
+The tick itself — drain, admission, commit, advance — is the shared
+:class:`~repro.service.pipeline.TickPipeline`.  This module is its
+local-shard executor: one :class:`~repro.service.shard.ShardWorker` per
+output fiber, scheduled in ascending fiber order on the event loop (so a
+tick never suspends), plus what only an in-process backend has — injected
+faults, the crash supervisor, and the write-ahead journal and snapshots
+the service keeps for its shards.  A shard whose scheduler raises is a
+crashed shard: its requests resolve ``SHARD_DOWN`` and the supervisor
+restarts it.
 
 Drive ticks yourself (:meth:`SchedulingService.tick`,
 :meth:`~SchedulingService.run_ticks` — deterministic, used by tests) or let
@@ -33,30 +26,17 @@ Drive ticks yourself (:meth:`SchedulingService.tick`,
 from __future__ import annotations
 
 import asyncio
-import enum
-import time
-from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
-from typing import Awaitable, Callable, Sequence
-
-import numpy as np
 
 from repro.core.base import Scheduler
-from repro.core.batch import batch_first_available
-from repro.core.batch_bfa import batch_break_first_available
-from repro.core.distributed import (
-    GrantedRequest,
+# distribute_grants is unused here but stays importable from this module:
+# the benchmark's tracer (perfbench/tracing.py) wraps it under this name.
+from repro.core.distributed import (  # noqa: F401
     SlotRequest,
     distribute_grants,
     validate_slot_request,
 )
-from repro.core.policies import FixedPriorityPolicy, GrantPolicy
-from repro.errors import (
-    DurabilityError,
-    InvalidParameterError,
-    ShardDownError,
-    SimulationError,
-)
+from repro.core.policies import GrantPolicy
+from repro.errors import DurabilityError, InvalidParameterError, ShardDownError
 from repro.faults import (
     ChannelOutage,
     ConverterDegradation,
@@ -64,34 +44,24 @@ from repro.faults import (
     FaultPlan,
     as_injector,
 )
-from repro.graphs.conversion import (
-    CircularConversion,
-    ConversionScheme,
-    NonCircularConversion,
-)
-from repro.service.breaker import BreakerConfig, CircuitBreaker
-from repro.service.edge import PendingRequest, SubmissionEdge
+from repro.graphs.conversion import ConversionScheme
+from repro.service.breaker import BreakerConfig
 from repro.service.durability import (
     DurabilityConfig,
     DurabilityManager,
     RecoveredShardState,
 )
-from repro.service.journal import (
-    FAULT_CRASH,
-    FAULT_OUTAGE,
-    request_tuple,
-)
-from repro.service.queue import BoundedQueue, OverflowPolicy, TenantAdmission
-from repro.service.ratelimit import RateLimitConfig, TokenBucketLimiter
+from repro.service.edge import PendingRequest, Rejected, RejectReason, ServiceGrant
+from repro.service.journal import FAULT_CRASH, FAULT_OUTAGE, request_tuple
+from repro.service.pipeline import ShardOutcome, TickPipeline
+from repro.service.queue import OverflowPolicy, TenantAdmission
+from repro.service.ratelimit import RateLimitConfig
 from repro.service.shard import ShardWorker
 from repro.service.supervisor import ShardSupervisor, SupervisorConfig
 from repro.service.telemetry import Telemetry, exponential_buckets
-from repro.service.tickloop import InputAdmission
-from repro.types import Grant
 from repro.util.validation import check_positive_int
 
 __all__ = [
-    "ExecutionMode",
     "RejectReason",
     "ServiceGrant",
     "Rejected",
@@ -99,107 +69,11 @@ __all__ = [
 ]
 
 
-class ExecutionMode(enum.Enum):
-    """How one tick's shard fan-out executes.
-
-    ``INLINE`` — sequentially on the event loop, shards in ascending
-    output-fiber order.  Deterministic for every policy; the mode the
-    simulator-equivalence guarantee covers.
-
-    ``THREADS`` — one executor task per shard.  Scheduling is a pure read
-    of shard state, so this is safe; determinism additionally requires a
-    stateless (or per-shard) grant policy because shards may interleave
-    policy calls.
-
-    ``VECTORIZED`` — all shards' request vectors stacked into one
-    ``(M, k)`` NumPy batch solved by the
-    :func:`~repro.core.batch.batch_first_available` /
-    :func:`~repro.core.batch_bfa.batch_break_first_available` kernels on a
-    worker thread (keeping the event loop responsive).  Requires a
-    non-circular or circular (non-full-range) scheme and single-priority
-    traffic.
-    """
-
-    INLINE = "inline"
-    THREADS = "threads"
-    VECTORIZED = "vectorized"
-
-
-class RejectReason(enum.Enum):
-    """Why a submitted request did not get a channel."""
-
-    #: Lost the output contention this tick (no free compatible channel).
-    CONTENTION = "contention"
-    #: Input channel still busy with an earlier grant (or an earlier
-    #: request in the same tick) — blocked at source.
-    SOURCE_BLOCKED = "source_blocked"
-    #: Bounded shard queue was full under the ``REJECT`` policy.
-    QUEUE_FULL = "queue_full"
-    #: Dropped by a ``DROP_TAIL``/``DROP_OLDEST`` queue overflow.
-    DROPPED = "dropped"
-    #: Deadline passed before a tick could schedule it.
-    TIMED_OUT = "timed_out"
-    #: Service stopped with the request still queued.
-    SHUTDOWN = "shutdown"
-    #: The owning shard worker is down (crashed, not yet restarted).
-    SHARD_DOWN = "shard_down"
-    #: Short-circuited by the shard's open circuit breaker.
-    CIRCUIT_OPEN = "circuit_open"
-    #: A retry of a ``request_id`` whose original is still in flight —
-    #: refused so at most one copy is ever scheduled (exactly-once; a
-    #: retry of an already *granted* id replays the original grant
-    #: instead of getting this).
-    DUPLICATE = "duplicate"
-    #: Shed by per-tenant admission control (``SHED`` overflow policy):
-    #: either evicted from the queue as the least-deserving request, or
-    #: refused at the door because the newcomer itself was least
-    #: deserving.  Unlike ``DROPPED``, the casualty is chosen by priority
-    #: class and weighted tenant share, not FIFO position.
-    ADMISSION_SHED = "admission_shed"
-    #: Refused at the edge by the per-tenant token-bucket rate limiter
-    #: (:mod:`repro.service.ratelimit`) — the tenant's bucket was empty,
-    #: so the request never reached a queue or a shard.
-    RATE_LIMITED = "rate_limited"
-    #: The backend responsible for this request is unreachable — an
-    #: edge↔worker partition or a worker that stayed unresponsive through
-    #: the pool's respawn budget.  Unlike ``SHARD_DOWN`` (the shard
-    #: itself crashed and its state is gone until supervision heals it),
-    #: the shard's state is intact somewhere we cannot currently reach;
-    #: the typed reject is the graceful degradation, and retrying after
-    #: the partition heals is expected to succeed.  Wire protocol ≥ 4;
-    #: older peers see ``SHARD_DOWN``.
-    UNAVAILABLE = "unavailable"
-
-
-@dataclass(frozen=True, slots=True)
-class ServiceGrant:
-    """A granted request: the assigned output channel and the grant slot."""
-
-    request: SlotRequest
-    channel: int
-    slot: int
-
-
-@dataclass(frozen=True, slots=True)
-class Rejected:
-    """A request that resolved without a channel, and why."""
-
-    request: SlotRequest
-    reason: RejectReason
-    slot: int | None = None
-
-
-#: Back-compat alias: the envelope moved to :mod:`repro.service.edge`.
-_Pending = PendingRequest
-
-
-#: Tick-duration buckets: 10 µs … ~40 s.
-_TICK_BUCKETS = exponential_buckets(10e-6, 2.0, 22)
 #: Occupancy buckets: 1 … 2^19 busy channels.
 _OCCUPANCY_BUCKETS = exponential_buckets(1.0, 2.0, 20)
 
 
-class SchedulingService:
+class SchedulingService(TickPipeline):
     """Sharded online scheduling service for an ``N × N`` interconnect.
 
     Parameters
@@ -208,9 +82,7 @@ class SchedulingService:
         Interconnect dimensions (``N`` shards, ``k`` wavelengths each).
     scheduler:
         Per-output contention-resolution algorithm, shared by all shards
-        (every in-tree scheduler is stateless).  Pass ``scheduler_factory``
-        instead to give each shard its own instance (required for stateful
-        third-party schedulers under ``THREADS`` mode).
+        (every in-tree scheduler is stateless).
     policy:
         Grant policy among same-wavelength contenders (default:
         deterministic :class:`FixedPriorityPolicy`).
@@ -235,9 +107,6 @@ class SchedulingService:
         any non-idle event on a shard flushes its run first, so grant
         ordering and recovery are unchanged.  Default 1 — every tick is
         its own iteration, the pre-window behavior.
-    mode, max_workers:
-        Fan-out execution (see :class:`ExecutionMode`) and thread-pool
-        width for the non-inline modes.
     telemetry:
         Optional shared :class:`Telemetry` registry (default: private).
     faults:
@@ -245,8 +114,7 @@ class SchedulingService:
         Channel outages darken shard channels, converter degradations
         narrow the affected inputs' schemes, and shard crashes kill the
         owning worker at the scheduled tick (the supervisor restarts it;
-        see ``docs/ROBUSTNESS.md``).  ``VECTORIZED`` mode rejects plans
-        with degradations (one batch kernel, one scheme).
+        see ``docs/ROBUSTNESS.md``).
     breaker:
         Optional :class:`~repro.service.breaker.BreakerConfig`; when given,
         every shard gets a circuit breaker and submissions to a tripped
@@ -272,13 +140,14 @@ class SchedulingService:
         deterministic — no clocks (``docs/SERVICE.md``).
     """
 
+    _failure_reason = RejectReason.SHARD_DOWN
+
     def __init__(
         self,
         n_fibers: int,
         scheme: ConversionScheme,
-        scheduler: Scheduler | None = None,
+        scheduler: Scheduler,
         *,
-        scheduler_factory: Callable[[], Scheduler] | None = None,
         policy: GrantPolicy | None = None,
         queue_capacity: int | None = None,
         overflow: OverflowPolicy = OverflowPolicy.REJECT,
@@ -286,8 +155,6 @@ class SchedulingService:
         tick_interval: float = 0.001,
         max_batch_per_tick: int | None = None,
         tick_window: int = 1,
-        mode: ExecutionMode = ExecutionMode.INLINE,
-        max_workers: int | None = None,
         telemetry: Telemetry | None = None,
         faults: "FaultInjector | FaultPlan | None" = None,
         breaker: BreakerConfig | None = None,
@@ -295,83 +162,6 @@ class SchedulingService:
         durability: "DurabilityConfig | bool | None" = True,
         rate_limit: "RateLimitConfig | None" = None,
     ) -> None:
-        self.n_fibers = check_positive_int(n_fibers, "n_fibers")
-        self.scheme = scheme
-        if (scheduler is None) == (scheduler_factory is None):
-            raise InvalidParameterError(
-                "pass exactly one of scheduler= or scheduler_factory="
-            )
-        self.policy = policy if policy is not None else FixedPriorityPolicy()
-        if tick_interval < 0:
-            raise InvalidParameterError(
-                f"tick_interval must be >= 0, got {tick_interval}"
-            )
-        if max_batch_per_tick is not None:
-            check_positive_int(max_batch_per_tick, "max_batch_per_tick")
-        self.tick_interval = float(tick_interval)
-        self.max_batch_per_tick = max_batch_per_tick
-        self.tick_window = check_positive_int(tick_window, "tick_window")
-        # True while tick_burst() has a window open: idle-shard ADVANCEs
-        # are deferred for coalescing instead of journaled per tick.
-        self._window_open = False
-        self.mode = mode
-        self.max_workers = max_workers
-        self.telemetry = telemetry if telemetry is not None else Telemetry()
-        self._faults = as_injector(faults, self.n_fibers, scheme.k)
-        if (
-            mode is ExecutionMode.VECTORIZED
-            and self._faults is not None
-            and self._faults.has_degradations
-        ):
-            raise InvalidParameterError(
-                "VECTORIZED mode runs one batch kernel with one scheme and "
-                "cannot express per-input converter degradation; use INLINE "
-                "or THREADS for plans with ConverterDegradation events"
-            )
-
-        if mode is ExecutionMode.VECTORIZED:
-            self._batch_kernel = self._select_batch_kernel(scheme)
-
-        # Kept for shard restarts: a replacement worker gets a fresh
-        # scheduler from the factory (or the shared stateless one).
-        self._scheduler = scheduler
-        self._scheduler_factory = scheduler_factory
-        self.supervisor = ShardSupervisor(supervisor, self.telemetry)
-        self.shards: list[ShardWorker] = []
-        for o in range(self.n_fibers):
-            shard_scheduler = (
-                scheduler_factory() if scheduler_factory is not None else scheduler
-            )
-            assert shard_scheduler is not None
-            self.shards.append(
-                ShardWorker(
-                    o,
-                    scheme,
-                    shard_scheduler,
-                    self.policy,
-                    BoundedQueue(queue_capacity, overflow, admission),
-                    self.telemetry,
-                )
-            )
-        self.breakers: list[CircuitBreaker] | None = (
-            [
-                CircuitBreaker(breaker, self.telemetry, shard=o)
-                for o in range(self.n_fibers)
-            ]
-            if breaker is not None
-            else None
-        )
-        # Input-side busy state (blocked-at-source admission): remaining
-        # slots each input channel is held by a granted connection.  The
-        # state machine is shared with the multi-process parent (see
-        # repro/service/tickloop.py).
-        self._admission = InputAdmission(self.n_fibers, scheme.k)
-        self._in_busy = self._admission.in_busy
-        self._slot = 0
-        self._pool: ThreadPoolExecutor | None = None
-        self._timer_task: asyncio.Task[None] | None = None
-        self._closed = False
-
         if durability is True:
             durability = DurabilityConfig()
         elif durability is False:
@@ -381,6 +171,31 @@ class SchedulingService:
                 "durability must be a DurabilityConfig, True, False, or "
                 f"None, got {durability!r}"
             )
+        super().__init__(
+            n_fibers,
+            scheme,
+            policy=policy,
+            queue_capacity=queue_capacity,
+            overflow=overflow,
+            admission=admission,
+            tick_interval=tick_interval,
+            max_batch_per_tick=max_batch_per_tick,
+            dedup_capacity=(
+                durability.dedup_capacity if durability is not None else 0
+            ),
+            rate_limit=rate_limit,
+            breaker=breaker,
+            telemetry=telemetry,
+        )
+        self.tick_window = check_positive_int(tick_window, "tick_window")
+        # True while tick_burst() has a window open: idle-shard ADVANCEs
+        # are deferred for coalescing instead of journaled per tick.
+        self._window_open = False
+        self.scheduler = scheduler
+        self._faults = as_injector(faults, self.n_fibers, scheme.k)
+        self._degradations: "dict[int, tuple[int, int]] | None" = None
+        self.supervisor = ShardSupervisor(supervisor, self.telemetry)
+        self.shards = [self._spawn_worker(o) for o in range(self.n_fibers)]
         self.durability: DurabilityManager | None = (
             DurabilityManager(
                 durability, self.n_fibers, scheme.k, self.telemetry
@@ -388,56 +203,23 @@ class SchedulingService:
             if durability is not None
             else None
         )
-        self.rate_limiter: TokenBucketLimiter | None = (
-            TokenBucketLimiter(rate_limit, self.telemetry)
-            if rate_limit is not None
-            else None
-        )
-        # The transport edge: futures, dedup, per-reason counters (shared
-        # implementation with the TCP/multi-process front doors).
-        self.edge = SubmissionEdge(
-            self.telemetry,
-            dedup_capacity=(
-                durability.dedup_capacity if durability is not None else 0
-            ),
-        )
+        if self.durability is not None:
+            self._journals = [
+                self.durability.journal(o) for o in range(self.n_fibers)
+            ]
 
         t = self.telemetry
-        self._c_submitted = self.edge.c_submitted
-        self._c_granted = self.edge.c_granted
         self._c_shard_crashes = t.counter("server.shard_crashes")
         self._c_fault_outages = t.counter("faults.outages")
         self._c_fault_degradations = t.counter("faults.degradations")
         self._c_fault_crashes = t.counter("faults.crashes")
         self._g_dark = t.gauge("faults.dark_channels")
-        self._c_ticks = t.counter("server.ticks")
-        self._h_latency = t.histogram("server.grant_latency_seconds")
-        self._h_tick = t.histogram("server.tick_seconds", _TICK_BUCKETS)
         self._h_occupancy = t.histogram("server.occupancy_channels", _OCCUPANCY_BUCKETS)
-        self._g_slot = t.gauge("server.slot")
-        self._g_depth = t.gauge("server.queue_depth_total")
 
-    @staticmethod
-    def _select_batch_kernel(scheme: ConversionScheme):
-        if isinstance(scheme, NonCircularConversion):
-            return batch_first_available
-        if isinstance(scheme, CircularConversion) and not scheme.is_full_range:
-            return batch_break_first_available
-        raise InvalidParameterError(
-            "VECTORIZED mode needs a non-circular (batch FA) or "
-            f"non-full-range circular (batch BFA) scheme, got {scheme!r}"
-        )
-
-    # -- submission ---------------------------------------------------------
-
-    @property
-    def slot(self) -> int:
-        """Index of the next slot tick."""
-        return self._slot
-
-    @property
-    def queue_depth_total(self) -> int:
-        return sum(s.queue.depth for s in self.shards)
+    # Both entry points are defined in this class body (not inherited) so
+    # the benchmark's tracer can wrap them through SchedulingService's
+    # __dict__; the validation goes through this module's name for the
+    # same reason.
 
     def submit_nowait(
         self,
@@ -467,110 +249,93 @@ class SchedulingService:
         most one copy of the request is ever scheduled — the exactly-once
         half of the retry story (``docs/SERVICE.md``).
         """
-        if self._closed:
-            raise SimulationError("service is stopped")
         validate_slot_request(request, self.n_fibers, self.scheme.k)
-        if timeout is not None and timeout < 0:
-            raise InvalidParameterError(f"timeout must be >= 0, got {timeout}")
-        if timeout_ticks is not None and timeout_ticks < 0:
-            raise InvalidParameterError(
-                f"timeout_ticks must be >= 0, got {timeout_ticks}"
-            )
-        loop = asyncio.get_running_loop()
-        future: asyncio.Future[ServiceGrant | Rejected] = loop.create_future()
-        deadline = None if timeout is None else loop.time() + timeout
-        deadline_slot = (
-            None if timeout_ticks is None else self._slot + timeout_ticks
-        )
-        if request_id is not None:
-            request_id = self.edge.check_duplicate(
-                request, request_id, future, self._slot
-            )
-            if future.done():
-                return future
-        pending = _Pending(
-            request,
-            future,
-            deadline,
-            time.perf_counter(),
-            request_id,
-            deadline_slot,
-        )
-        self.edge.note_submitted(request)
-        if self.rate_limiter is not None and not self.rate_limiter.allow(
-            request.tenant
+        return self._enqueue(request, timeout, timeout_ticks, request_id)
+
+    async def tick(self) -> int:
+        """Run one slot tick; returns the number of grants issued."""
+        return await self._tick()
+
+    # -- the local-shard executor (TickPipeline hooks) -----------------------
+
+    def _shard_failed(self, output_fiber: int) -> bool:
+        return self.shards[output_fiber].down
+
+    def _begin_tick(self, slot: int) -> None:
+        self._degradations = self._apply_faults(slot)
+
+    async def _run_shards(
+        self, slot: int, work: dict[int, list[PendingRequest]]
+    ) -> dict[int, ShardOutcome]:
+        # Shards in fiber order on the event loop.  A shard whose scheduler
+        # raises is a crashed shard (ShardDownError, original defect on the
+        # chain): it is left out of the result, and the other shards'
+        # grants still commit.
+        outcomes: dict[int, ShardOutcome] = {}
+        for o, pendings in work.items():
+            shard = self.shards[o]
+            try:
+                _, granted, rejected = shard.schedule(
+                    [p.request for p in pendings], self._degradations
+                )
+            except ShardDownError as exc:
+                self._crash_shard(shard, slot, exc)
+                continue
+            if self.durability is not None and granted:
+                # Write-ahead: journal the tick's grants (one batched
+                # record) before committing any of them.
+                self.durability.journal(o).grant_batch(
+                    slot,
+                    (
+                        (
+                            g.request.input_fiber,
+                            g.request.wavelength,
+                            g.channel,
+                            g.request.duration,
+                        )
+                        for g in granted
+                    ),
+                )
+            shard.commit(granted)
+            outcomes[o] = granted, rejected
+        return outcomes
+
+    def _end_tick(self, slot: int) -> None:
+        self._h_occupancy.observe(sum(s.occupancy for s in self.shards))
+        for shard in self.shards:
+            if self.durability is not None:
+                # The connections busy[] tracks live in the interconnect,
+                # so the physical clock advances for down shards too —
+                # this is what makes recovery pure replay with no aging.
+                journal = self.durability.journal(shard.output_fiber)
+                if self._window_open:
+                    journal.defer_advance(slot)
+                else:
+                    journal.advance(slot)
+            if not shard.down:
+                shard.advance()
+                if self.durability is None:
+                    self.supervisor.note_checkpoint(
+                        shard.output_fiber, slot + 1, shard.busy_snapshot()
+                    )
+        if self.durability is not None and self.durability.due_snapshot(
+            slot + 1
         ):
-            self._resolve_rejected(pending, RejectReason.RATE_LIMITED)
-            return future
-        shard = self.shards[request.output_fiber]
-        breaker = (
-            self.breakers[request.output_fiber]
-            if self.breakers is not None
-            else None
-        )
-        # Fault fast-paths, checked before the request touches the shard:
-        # an open breaker short-circuits for free (not a shard failure —
-        # the shard never saw the request); a down shard is a failure the
-        # breaker counts, which is what eventually trips it.
-        if breaker is not None and not breaker.allow(self._slot):
-            self._resolve_rejected(pending, RejectReason.CIRCUIT_OPEN)
-            return future
-        if shard.down:
-            if breaker is not None:
-                breaker.record_failure(self._slot)
-            self._resolve_rejected(pending, RejectReason.SHARD_DOWN)
-            return future
-        shard.offered.inc()
-        shed = shard.queue.policy is OverflowPolicy.SHED
+            policy_state = self.policy.export_state()
+            for shard in self.shards:
+                if shard.down:
+                    continue
+                self.durability.take_snapshot(
+                    shard.output_fiber,
+                    slot + 1,
+                    shard.busy_snapshot(),
+                    (request_tuple(p.request) for p in shard.queue),
+                    policy_state,
+                )
+
+    def _close(self) -> None:
         if self.durability is not None:
-            # Write-ahead: journal the queue effect before applying it.
-            journal = self.durability.journal(request.output_fiber)
-            if shed:
-                decision = shard.queue.plan_admit(pending)
-                if decision.evict_index is not None:
-                    journal.evict(self._slot, decision.evict_index)
-                if decision.accepted:
-                    journal.accept(self._slot, request)
-            else:
-                will_accept, will_evict = shard.queue.plan_offer()
-                if will_evict:
-                    journal.dequeue(self._slot, 1)
-                if will_accept:
-                    journal.accept(self._slot, request)
-        offer = shard.queue.offer(pending)
-        if offer.evicted is not None:
-            # DROP_OLDEST: the head made room; SHED: the least-deserving
-            # request made room.  Either way the victim is lost.
-            self._resolve_rejected(
-                offer.evicted,
-                RejectReason.ADMISSION_SHED if shed else RejectReason.DROPPED,
-            )
-        if not offer.accepted:
-            if shed:
-                reason = RejectReason.ADMISSION_SHED
-            elif shard.queue.policy is OverflowPolicy.REJECT:
-                reason = RejectReason.QUEUE_FULL
-            else:
-                reason = RejectReason.DROPPED
-            self._resolve_rejected(pending, reason)
-        shard.update_depth_gauge()
-        return future
-
-    async def submit(
-        self, request: SlotRequest, timeout: float | None = None
-    ) -> ServiceGrant | Rejected:
-        """Enqueue ``request`` and await its grant/rejection."""
-        return await self.submit_nowait(request, timeout)
-
-    # -- resolution helpers (delegated to the shared edge) -------------------
-
-    def _resolve(self, pending: _Pending, outcome: ServiceGrant | Rejected) -> None:
-        self.edge.resolve(pending, outcome)
-
-    def _resolve_rejected(
-        self, pending: _Pending, reason: RejectReason, slot: int | None = None
-    ) -> None:
-        self.edge.resolve_rejected(pending, reason, slot)
+            self.durability.close()
 
     # -- crash / restart ----------------------------------------------------
 
@@ -592,22 +357,16 @@ class SchedulingService:
             if shard.queue.depth:
                 journal.dequeue(slot, shard.queue.depth)
         for p in shard.queue.drain():
-            self._resolve_rejected(p, RejectReason.SHARD_DOWN, slot)
-        shard.update_depth_gauge()
+            self.edge.resolve_rejected(p, RejectReason.SHARD_DOWN, slot)
+        self._shard_depth[o].set(0)
 
-    def _spawn_worker(self, output_fiber: int, queue: BoundedQueue) -> ShardWorker:
-        shard_scheduler = (
-            self._scheduler_factory()
-            if self._scheduler_factory is not None
-            else self._scheduler
-        )
-        assert shard_scheduler is not None
+    def _spawn_worker(self, output_fiber: int) -> ShardWorker:
         return ShardWorker(
             output_fiber,
             self.scheme,
-            shard_scheduler,
+            self.scheduler,
             self.policy,
-            queue,
+            self.queues[output_fiber],
             self.telemetry,
         )
 
@@ -617,7 +376,7 @@ class SchedulingService:
         behind it), restored from snapshot+journal replay when durability
         is on, else from the supervisor's aged checkpoint."""
         old = self.shards[output_fiber]
-        worker = self._spawn_worker(output_fiber, old.queue)
+        worker = self._spawn_worker(output_fiber)
         if self.durability is not None:
             state = self._recovered_state(output_fiber, old)
             worker.restore(list(state.busy))
@@ -662,7 +421,7 @@ class SchedulingService:
             )
         old = self.shards[output_fiber]
         state = self._recovered_state(output_fiber, old)
-        worker = self._spawn_worker(output_fiber, old.queue)
+        worker = self._spawn_worker(output_fiber)
         worker.restore(list(state.busy))
         self.shards[output_fiber] = worker
         self.supervisor.mark_restarted(output_fiber, source=state.source)
@@ -698,243 +457,7 @@ class SchedulingService:
             shard.set_dark(mask[shard.output_fiber] if any_dark else None)
         return self._faults.degradations_at(slot) or None
 
-    # -- one slot tick ------------------------------------------------------
-
-    async def tick(self) -> int:
-        """Run one slot tick; returns the number of grants issued."""
-        if self._closed:
-            raise SimulationError("service is stopped")
-        t0 = time.perf_counter()
-        loop = asyncio.get_running_loop()
-        now = loop.time()
-        slot = self._slot
-
-        # 0: supervision heal + injected faults for this slot.
-        degradations = self._apply_faults(slot)
-
-        # 1 + 2: drain queues and run admission, shards in fiber order
-        # (the admission state machine is shared with the multi-process
-        # parent — see repro/service/tickloop.py).
-        work: list[tuple[ShardWorker, list[_Pending]]] = []
-        seen_inputs = self._admission.begin_tick()
-        for shard in self.shards:
-            if self.durability is not None:
-                depth = shard.queue.depth
-                n_drain = (
-                    depth
-                    if self.max_batch_per_tick is None
-                    else min(depth, self.max_batch_per_tick)
-                )
-                if n_drain:
-                    self.durability.journal(shard.output_fiber).dequeue(
-                        slot, n_drain
-                    )
-            drained = shard.queue.drain(self.max_batch_per_tick)
-            shard.update_depth_gauge()
-            survivors, expired, blocked = self._admission.admit(
-                drained, now, seen_inputs, slot
-            )
-            for p in expired:
-                self._resolve_rejected(p, RejectReason.TIMED_OUT, slot)
-                if self.breakers is not None:
-                    # A timed-out request is a shard that was too slow —
-                    # the breaker counts it against the shard's health.
-                    self.breakers[shard.output_fiber].record_failure(slot)
-            for p in blocked:
-                self._resolve_rejected(p, RejectReason.SOURCE_BLOCKED, slot)
-            if survivors:
-                work.append((shard, survivors))
-
-        # 3: fan out the per-shard scheduling.  A shard whose scheduler
-        # raises is a crashed shard (ShardDownError, original defect on the
-        # chain) — it is isolated to a None outcome so the other shards'
-        # grants still commit this tick.
-        outcomes: list[
-            tuple[list[GrantedRequest], list[SlotRequest]] | None
-        ]
-        if not work:
-            outcomes = []
-        elif self.mode is ExecutionMode.INLINE or len(work) == 1:
-            outcomes = []
-            for shard, pendings in work:
-                try:
-                    outcomes.append(
-                        shard.schedule(
-                            [p.request for p in pendings], degradations
-                        )[1:]
-                    )
-                except ShardDownError as exc:
-                    self._crash_shard(shard, slot, exc)
-                    outcomes.append(None)
-        elif self.mode is ExecutionMode.THREADS:
-            pool = self._ensure_pool()
-            tasks: list[Awaitable] = [
-                loop.run_in_executor(
-                    pool,
-                    shard.schedule,
-                    [p.request for p in pendings],
-                    degradations,
-                )
-                for shard, pendings in work
-            ]
-            results = await asyncio.gather(*tasks, return_exceptions=True)
-            outcomes = []
-            for (shard, pendings), res in zip(work, results):
-                if isinstance(res, ShardDownError):
-                    self._crash_shard(shard, slot, res)
-                    outcomes.append(None)
-                elif isinstance(res, BaseException):
-                    raise res
-                else:
-                    outcomes.append(res[1:])
-        else:  # VECTORIZED
-            pool = self._ensure_pool()
-            outcomes = await loop.run_in_executor(
-                pool, self._schedule_vectorized, work
-            )
-
-        # 4: commit grants, resolve futures.
-        n_granted = 0
-        for (shard, pendings), outcome in zip(work, outcomes):
-            if outcome is None:
-                # The shard died mid-tick; its drained survivors fail fast.
-                for p in pendings:
-                    self._resolve_rejected(p, RejectReason.SHARD_DOWN, slot)
-                    if self.breakers is not None:
-                        self.breakers[shard.output_fiber].record_failure(slot)
-                continue
-            granted, rejected = outcome
-            if self.durability is not None and granted:
-                # Write-ahead: journal the tick's grants (one batched
-                # record) before committing any of them.
-                self.durability.journal(shard.output_fiber).grant_batch(
-                    slot,
-                    (
-                        (
-                            g.request.input_fiber,
-                            g.request.wavelength,
-                            g.channel,
-                            g.request.duration,
-                        )
-                        for g in granted
-                    ),
-                )
-            shard.commit(granted)
-            shard.record_rejected(len(rejected))
-            by_input = {
-                (p.request.input_fiber, p.request.wavelength): p for p in pendings
-            }
-            breaker = (
-                self.breakers[shard.output_fiber]
-                if self.breakers is not None
-                else None
-            )
-            for g in granted:
-                r = g.request
-                self._admission.hold(r)
-                p = by_input[(r.input_fiber, r.wavelength)]
-                self.edge.note_granted(r)
-                self._h_latency.observe(time.perf_counter() - p.submitted_at)
-                self._resolve(p, ServiceGrant(r, g.channel, slot))
-                if breaker is not None:
-                    breaker.record_success(slot)
-                n_granted += 1
-            for r in rejected:
-                self._resolve_rejected(
-                    by_input[(r.input_fiber, r.wavelength)],
-                    RejectReason.CONTENTION,
-                    slot,
-                )
-                if breaker is not None:
-                    # Losing contention is a *healthy* outcome — the shard
-                    # answered; it counts toward closing, not opening.
-                    breaker.record_success(slot)
-
-        # 5: advance clocks and record tick telemetry.
-        self._h_occupancy.observe(sum(s.occupancy for s in self.shards))
-        for shard in self.shards:
-            if self.durability is not None:
-                # The connections busy[] tracks live in the interconnect,
-                # so the physical clock advances for down shards too —
-                # this is what makes recovery pure replay with no aging.
-                journal = self.durability.journal(shard.output_fiber)
-                if self._window_open:
-                    journal.defer_advance(slot)
-                else:
-                    journal.advance(slot)
-            if not shard.down:
-                shard.advance()
-                if self.durability is None:
-                    self.supervisor.note_checkpoint(
-                        shard.output_fiber, slot + 1, shard.busy_snapshot()
-                    )
-        if self.durability is not None and self.durability.due_snapshot(
-            slot + 1
-        ):
-            policy_state = self.policy.export_state()
-            for shard in self.shards:
-                if shard.down:
-                    continue
-                self.durability.take_snapshot(
-                    shard.output_fiber,
-                    slot + 1,
-                    shard.busy_snapshot(),
-                    (request_tuple(p.request) for p in shard.queue),
-                    policy_state,
-                )
-        self._admission.decay()
-        if self.rate_limiter is not None:
-            self.rate_limiter.advance()
-        self._slot += 1
-        self._c_ticks.inc()
-        self._g_slot.set(self._slot)
-        self._g_depth.set(self.queue_depth_total)
-        self._h_tick.observe(time.perf_counter() - t0)
-        return n_granted
-
-    def _schedule_vectorized(
-        self, work: Sequence[tuple[ShardWorker, Sequence[_Pending]]]
-    ) -> list[tuple[list[GrantedRequest], list[SlotRequest]]]:
-        """Solve all shards' sub-problems as one NumPy batch (worker thread)."""
-        k = self.scheme.k
-        rows = len(work)
-        req = np.zeros((rows, k), dtype=np.int64)
-        avail = np.zeros((rows, k), dtype=bool)
-        requests_per_row: list[list[SlotRequest]] = []
-        for i, (shard, pendings) in enumerate(work):
-            requests = [p.request for p in pendings]
-            if any(r.priority != 0 for r in requests):
-                raise SimulationError(
-                    "VECTORIZED mode does not support priority classes; "
-                    "use INLINE or THREADS"
-                )
-            requests_per_row.append(requests)
-            req[i] = shard.request_vector(requests)
-            avail[i] = shard.availability()
-        # Inputs are built here from shard state, so skip kernel revalidation.
-        assign = self._batch_kernel(
-            req, avail, self.scheme.e, self.scheme.f, check=False
-        )
-        outcomes: list[tuple[list[GrantedRequest], list[SlotRequest]]] = []
-        for i, (shard, _pendings) in enumerate(work):
-            grants = [
-                Grant(wavelength=int(assign[i, b]), channel=b)
-                for b in range(k)
-                if assign[i, b] >= 0
-            ]
-            outcomes.append(
-                distribute_grants(
-                    self.policy, shard.output_fiber, requests_per_row[i], grants
-                )
-            )
-        return outcomes
-
-    # -- run modes ----------------------------------------------------------
-
-    async def run_ticks(self, n: int) -> int:
-        """Run ``n`` back-to-back ticks (no sleeping); returns total grants."""
-        check_positive_int(n, "n")
-        return sum([await self.tick() for _ in range(n)])
+    # -- bursts (in-process only) ---------------------------------------------
 
     async def tick_burst(self) -> int:
         """Run one burst of up to ``tick_window`` ticks; returns grants.
@@ -963,65 +486,7 @@ class SchedulingService:
                     self.durability.journal(shard.output_fiber).flush_deferred()
         return granted
 
-    async def drain(self, max_ticks: int = 10_000) -> None:
-        """Tick until every shard queue is empty (all futures resolved)."""
-        ticks = 0
-        while self.queue_depth_total > 0:
-            if ticks >= max_ticks:
-                raise SimulationError(
-                    f"queues not drained after {max_ticks} ticks"
-                )
-            await self.tick()
-            ticks += 1
-
-    def start(self) -> None:
-        """Run tick bursts on a background task every ``tick_interval``
-        seconds (each burst is up to ``tick_window`` ticks; see
-        :meth:`tick_burst`)."""
-        if self._timer_task is not None:
-            raise SimulationError("service already started")
-        if self._closed:
-            raise SimulationError("service is stopped")
-        self._timer_task = asyncio.get_running_loop().create_task(
-            self._timer_loop(), name="repro-service-ticks"
-        )
-
     async def _timer_loop(self) -> None:
         while True:
             await self.tick_burst()
             await asyncio.sleep(self.tick_interval)
-
-    async def stop(self) -> None:
-        """Stop ticking, flush queued requests as ``SHUTDOWN``, free threads.
-
-        Idempotent; after ``stop()`` the service refuses new submissions.
-        """
-        if self._timer_task is not None:
-            self._timer_task.cancel()
-            try:
-                await self._timer_task
-            except asyncio.CancelledError:
-                pass
-            self._timer_task = None
-        if not self._closed:
-            self._closed = True
-            for shard in self.shards:
-                if self.durability is not None and shard.queue.depth:
-                    self.durability.journal(shard.output_fiber).dequeue(
-                        self._slot, shard.queue.depth
-                    )
-                for p in shard.queue.drain():
-                    self._resolve_rejected(p, RejectReason.SHUTDOWN)
-                shard.update_depth_gauge()
-            if self.durability is not None:
-                self.durability.close()
-        if self._pool is not None:
-            self._pool.shutdown(wait=True)
-            self._pool = None
-
-    def _ensure_pool(self) -> ThreadPoolExecutor:
-        if self._pool is None:
-            self._pool = ThreadPoolExecutor(
-                max_workers=self.max_workers, thread_name_prefix="repro-service"
-            )
-        return self._pool

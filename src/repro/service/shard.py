@@ -6,14 +6,16 @@ natural service shard.  Each :class:`ShardWorker` owns
 
 * its per-output scheduler instance (``first_available`` /
   ``break_first_available`` / any :class:`~repro.core.base.Scheduler`),
-* its bounded request queue (see :mod:`repro.service.queue`),
+* a reference to its bounded request queue (the queue itself belongs to
+  the service's :class:`~repro.service.pipeline.TickPipeline` and
+  outlives a crashed worker),
 * its channel-availability state across slot ticks: ``busy[b]`` counts the
   remaining slots output channel ``b`` is held by a granted multi-slot
   connection (paper Section V non-disturb mode — exactly the
   :class:`~repro.sim.engine.SlottedSimulator` bookkeeping, per shard).
 
-Scheduling a tick is a *read* of shard state (so it may run on an executor
-thread); committing grants and advancing the clock are loop-thread writes.
+Scheduling a tick is a *read* of shard state; committing grants and
+advancing the clock are the writes.  All of it runs on the event loop.
 The scheduling decision itself goes through
 :func:`repro.core.distributed.schedule_output_fiber` — the same code path
 as the batch simulator, which is what makes service-vs-simulator grant
@@ -66,12 +68,7 @@ class ShardWorker:
         #: the supervisor restores it (see repro.service.supervisor).
         self.down = False
         self._crash_cause: BaseException | None = None
-        prefix = f"shard.{output_fiber}"
-        self.offered = telemetry.counter(f"{prefix}.offered")
-        self._granted = telemetry.counter(f"{prefix}.granted")
-        self._rejected = telemetry.counter(f"{prefix}.rejected")
-        self._depth_gauge = telemetry.gauge(f"{prefix}.queue_depth")
-        self._occupancy_gauge = telemetry.gauge(f"{prefix}.occupancy")
+        self._occupancy_gauge = telemetry.gauge(f"shard.{output_fiber}.occupancy")
 
     # -- state views --------------------------------------------------------
 
@@ -137,15 +134,6 @@ class ShardWorker:
                 f"shard {self.output_fiber} is down"
             ) from self._crash_cause
 
-    def request_vector(
-        self, requests: Sequence[SlotRequest]
-    ) -> list[int]:
-        """Wavelength-count vector of ``requests`` (vectorized batch path)."""
-        vec = [0] * self.k
-        for r in requests:
-            vec[r.wavelength] += 1
-        return vec
-
     # -- one slot tick ------------------------------------------------------
 
     def schedule(
@@ -198,17 +186,9 @@ class ShardWorker:
                     "while dark"
                 )
             self._busy[g.channel] = g.request.duration
-        self._granted.inc(len(granted))
         self._occupancy_gauge.set(self.occupancy)
-
-    def record_rejected(self, n: int) -> None:
-        self._rejected.inc(n)
 
     def advance(self) -> None:
         """End of slot tick: ongoing connections age by one slot."""
         self._busy = [b - 1 if b > 0 else 0 for b in self._busy]
         self._occupancy_gauge.set(self.occupancy)
-        self._depth_gauge.set(self.queue.depth)
-
-    def update_depth_gauge(self) -> None:
-        self._depth_gauge.set(self.queue.depth)

@@ -45,6 +45,7 @@ from __future__ import annotations
 
 import math
 import threading
+from bisect import bisect_left
 from typing import Iterable, Mapping, Sequence
 
 from repro.errors import InvalidParameterError
@@ -143,16 +144,10 @@ class Histogram:
 
     def observe(self, value: float) -> None:
         value = float(value)
-        # bisect over the bounds; len(bounds) is the overflow bucket.
-        lo, hi = 0, len(self.bounds)
-        while lo < hi:
-            mid = (lo + hi) // 2
-            if value <= self.bounds[mid]:
-                hi = mid
-            else:
-                lo = mid + 1
+        # First bound >= value; len(bounds) is the overflow bucket.
+        bucket = bisect_left(self.bounds, value)
         with self._lock:
-            self._counts[lo] += 1
+            self._counts[bucket] += 1
             self._count += 1
             self._sum += value
             self._min = min(self._min, value)

@@ -1,9 +1,11 @@
 """Thread-safety audit regression tests: RetryBudget and ScheduleCache.
 
-Both objects are shared across threads in supported configurations —
-a :class:`RetryBudget` by clients on different threads/event loops, the
-:class:`ScheduleCache` by shard schedulers under ``ExecutionMode.THREADS``
-— so their mutations must be lock-guarded read-modify-writes.  These tests
+Both objects may be shared across threads — a :class:`RetryBudget` by
+clients on different threads/event loops, the :class:`ScheduleCache` by
+any scheduler instance user code calls from several threads (the
+services schedule on the event loop, but the library does not require
+that of its callers, and the process pool runs its own I/O threads) — so
+their mutations must be lock-guarded read-modify-writes.  These tests
 hammer them from many threads and assert *exact* accounting, which the
 pre-audit unlocked float arithmetic (``tokens -= 1``) loses under
 interleaving.

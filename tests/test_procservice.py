@@ -507,3 +507,179 @@ class TestBreakerParity:
         (reasons, breakers, counters), other = run(go())
         assert "timed_out" in reasons and "circuit_open" in reasons
         assert other == (reasons, breakers, counters)
+
+    def test_telemetry_matches_across_services(self):
+        """One seeded workload — slot deadlines, contention, source
+        blocking, multi-slot holds and breakers — leaves both services
+        with the same outcomes and the same telemetry.
+
+        Compared: every ``server.*``, ``tenant.*`` and ``breaker.*``
+        counter and gauge; ``shard.{o}.offered/granted/rejected/
+        queue_depth``; and the sample counts of
+        ``server.grant_latency_seconds`` and ``server.tick_seconds``
+        (their values are wall-clock times).  Excluded, because only one
+        backend has them: ``shard.{o}.occupancy`` and
+        ``server.occupancy_channels`` (busy[] is worker state, not
+        reported to the parent — ROADMAP item 5b); ``faults.*`` and
+        ``server.shard_crashes``/``server.shard_restarts`` (fault
+        injection and crash supervision are in-process only); and
+        ``procpool.*`` and ``reshard.*`` (worker processes and live
+        resharding are multi-process only).
+        """
+        import random
+
+        from repro.service import SchedulingService
+
+        rng = random.Random(20261018)
+        workload = []
+        for _ in range(30):
+            channels = rng.sample(range(N_FIBERS * K), 8)
+            workload.append([
+                (
+                    SlotRequest(
+                        c // K,
+                        c % K,
+                        rng.randrange(N_FIBERS),
+                        duration=rng.choice((1, 1, 2, 3)),
+                    ),
+                    rng.randrange(4),
+                )
+                for c in channels
+            ])
+        kwargs = dict(
+            max_batch_per_tick=2,
+            breaker=BreakerConfig(failure_threshold=2, reset_ticks=3),
+        )
+        shard_metrics = ("offered", "granted", "rejected", "queue_depth")
+
+        def compared(service) -> dict:
+            snap = service.telemetry.snapshot()
+            values = {
+                n: v
+                for table in ("counters", "gauges")
+                for n, v in snap[table].items()
+                if n.startswith(("server.", "tenant.", "breaker."))
+                or n.split(".")[-1] in shard_metrics
+            }
+            for name in ("server.shard_crashes", "server.shard_restarts"):
+                values.pop(name, None)
+            for name in ("server.grant_latency_seconds", "server.tick_seconds"):
+                values[name + ".count"] = snap["histograms"][name]["count"]
+            return values
+
+        async def drive(service):
+            futures = []
+            for batch in workload:
+                futures += [
+                    service.submit_nowait(r, timeout_ticks=t) for r, t in batch
+                ]
+                await service.tick()
+            while not all(f.done() for f in futures):
+                await service.tick()
+            return [
+                (f.result().channel, f.result().slot)
+                if isinstance(f.result(), ServiceGrant)
+                else (f.result().reason.value, f.result().slot)
+                for f in futures
+            ], compared(service)
+
+        async def go():
+            results = []
+            for service in (
+                SchedulingService(
+                    N_FIBERS, NonCircularConversion(K, 1, 1),
+                    FirstAvailableScheduler(), durability=False, **kwargs,
+                ),
+                _service(**kwargs),
+            ):
+                try:
+                    results.append(await drive(service))
+                finally:
+                    await service.stop()
+            return results
+
+        (outcomes, telemetry), other = run(go())
+        reasons = {o[0] for o in outcomes if isinstance(o[0], str)}
+        assert {
+            "contention", "source_blocked", "timed_out", "circuit_open",
+        } <= reasons
+        assert any(not isinstance(o[0], str) for o in outcomes)
+        assert telemetry["server.grant_latency_seconds.count"] > 0
+        assert telemetry["shard.0.offered"] > 0
+        assert other == (outcomes, telemetry)
+
+
+class TestRateLimitedParity:
+    """``RATE_LIMITED`` is a submit-time reject: every backend resolves it
+    with no slot, which the wire carries as ``-1``."""
+
+    def test_rate_limited_carries_no_slot_in_every_backend(self):
+        from repro.net.client import NetClient
+        from repro.net.server import NetServer
+        from repro.service import SchedulingService
+        from repro.service.ratelimit import RateLimitConfig
+
+        kwargs = dict(rate_limit=RateLimitConfig(rate_per_tick=1, burst=1))
+        slots = [
+            [SlotRequest(i, 0, i) for i in range(N_FIBERS)] for _ in range(3)
+        ]
+
+        async def direct(service):
+            rejected = []
+            try:
+                for batch in slots:
+                    futures = [service.submit_nowait(r) for r in batch]
+                    await service.tick()
+                    rejected += [
+                        f.result() for f in futures
+                        if isinstance(f.result(), Rejected)
+                    ]
+            finally:
+                await service.stop()
+            return rejected
+
+        async def wire(service):
+            server = NetServer(service)
+            await server.start()
+            client = await NetClient.connect("127.0.0.1", server.port)
+            rejected = []
+            try:
+                for batch in slots:
+                    futures = [client.submit_nowait(r) for r in batch]
+                    await client.tick(1)
+                    for r, f in zip(batch, futures):
+                        reply = await f
+                        if not hasattr(reply, "channel"):
+                            rejected.append((r, reply.reason, reply.slot))
+            finally:
+                await client.close()
+                await server.stop()
+                await service.stop()
+            return rejected
+
+        def in_process():
+            return SchedulingService(
+                N_FIBERS, NonCircularConversion(K, 1, 1),
+                FirstAvailableScheduler(), durability=False, **kwargs,
+            )
+
+        async def go():
+            return (
+                await direct(in_process()),
+                await direct(_service(**kwargs)),
+                await wire(in_process()),
+                await wire(_service(**kwargs)),
+            )
+
+        local, multi, local_wire, multi_wire = run(go())
+        assert local == [
+            Rejected(r, RejectReason.RATE_LIMITED, None)
+            for batch in slots
+            for r in batch[1:]
+        ]
+        assert multi == local
+        expected_wire = [
+            (r.request, RejectReason.RATE_LIMITED, -1) for r in local
+        ]
+        assert local_wire == expected_wire
+        assert multi_wire == expected_wire

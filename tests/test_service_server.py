@@ -1,5 +1,5 @@
 """Tests for the asyncio scheduling service: grants, timeouts, backpressure,
-shard-state carryover, execution modes, and telemetry conservation."""
+shard-state carryover, and telemetry conservation."""
 
 import asyncio
 
@@ -11,7 +11,6 @@ from repro.core.first_available import FirstAvailableScheduler
 from repro.errors import InvalidParameterError, SimulationError
 from repro.graphs.conversion import CircularConversion, NonCircularConversion
 from repro.service import (
-    ExecutionMode,
     LoadGenerator,
     OverflowPolicy,
     Rejected,
@@ -248,87 +247,6 @@ class TestShardStateCarryover:
         assert o1.reason is RejectReason.SOURCE_BLOCKED
 
 
-class TestExecutionModes:
-    def _drive(self, mode, scheme, scheduler):
-        async def go():
-            service = SchedulingService(
-                8, scheme, scheduler, mode=mode, max_workers=4
-            )
-            gen = LoadGenerator(
-                service, BernoulliTraffic(8, scheme.k, load=0.85), seed=99
-            )
-            report = await gen.run(30)
-            counters = service.telemetry.counters("server.")
-            await service.stop()
-            return report, counters
-
-        return run(go())
-
-    def test_threads_matches_inline(self):
-        scheme = CircularConversion(12, 1, 1)
-        r_inline, _ = self._drive(
-            ExecutionMode.INLINE, scheme, BreakFirstAvailableScheduler()
-        )
-        r_threads, _ = self._drive(
-            ExecutionMode.THREADS, scheme, BreakFirstAvailableScheduler()
-        )
-        assert r_inline.offered == r_threads.offered
-        assert r_inline.granted == r_threads.granted
-        assert r_inline.rejected_contention == r_threads.rejected_contention
-
-    def test_vectorized_matches_inline_bfa(self):
-        scheme = CircularConversion(12, 1, 1)
-        r_inline, _ = self._drive(
-            ExecutionMode.INLINE, scheme, BreakFirstAvailableScheduler()
-        )
-        r_vec, _ = self._drive(
-            ExecutionMode.VECTORIZED, scheme, BreakFirstAvailableScheduler()
-        )
-        assert r_inline.granted == r_vec.granted
-        assert r_inline.rejected_contention == r_vec.rejected_contention
-
-    def test_vectorized_matches_inline_fa(self):
-        scheme = NonCircularConversion(12, 1, 1)
-        r_inline, _ = self._drive(
-            ExecutionMode.INLINE, scheme, FirstAvailableScheduler()
-        )
-        r_vec, _ = self._drive(
-            ExecutionMode.VECTORIZED, scheme, FirstAvailableScheduler()
-        )
-        assert r_inline.granted == r_vec.granted
-        assert r_inline.rejected_contention == r_vec.rejected_contention
-
-    def test_vectorized_needs_batchable_scheme(self):
-        from repro.core.full_range import FullRangeScheduler
-        from repro.graphs.conversion import FullRangeConversion
-
-        with pytest.raises(InvalidParameterError):
-            SchedulingService(
-                2,
-                FullRangeConversion(4),
-                FullRangeScheduler(),
-                mode=ExecutionMode.VECTORIZED,
-            )
-
-    def test_vectorized_rejects_priority_classes(self):
-        async def go():
-            service = SchedulingService(
-                2,
-                CircularConversion(6, 1, 1),
-                BreakFirstAvailableScheduler(),
-                mode=ExecutionMode.VECTORIZED,
-            )
-            # Two shards (outputs 0 and 1) so the batch kernel actually
-            # engages — a single-shard tick falls back to the inline path.
-            service.submit_nowait(SlotRequest(0, 0, 0, priority=1))
-            service.submit_nowait(SlotRequest(1, 0, 1, priority=0))
-            with pytest.raises(SimulationError):
-                await service.tick()
-            await service.stop()
-
-        run(go())
-
-
 class TestTelemetryConservation:
     def test_counters_partition_offered_load(self):
         async def go():
@@ -462,23 +380,3 @@ class TestLifecycle:
             await service.stop()
 
         run(go())
-
-    def test_scheduler_factory_gives_each_shard_its_own(self):
-        service = SchedulingService(
-            3,
-            CircularConversion(6, 1, 1),
-            scheduler_factory=BreakFirstAvailableScheduler,
-        )
-        schedulers = {id(s.scheduler) for s in service.shards}
-        assert len(schedulers) == 3
-
-    def test_scheduler_args_exclusive(self):
-        with pytest.raises(InvalidParameterError):
-            SchedulingService(2, CircularConversion(6, 1, 1))
-        with pytest.raises(InvalidParameterError):
-            SchedulingService(
-                2,
-                CircularConversion(6, 1, 1),
-                BreakFirstAvailableScheduler(),
-                scheduler_factory=BreakFirstAvailableScheduler,
-            )
